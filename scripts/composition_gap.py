@@ -64,8 +64,7 @@ def main() -> int:
     print(f"summed-parameter form accepts the pair: contains = {cbit}")
     assert cbit == 1
 
-    big = SearchBudget(max_nodes=6000, max_transitions=12, refinements=2,
-                       samples=10, cases=6)
+    big = SearchBudget(max_nodes=6000, refinements=2, samples=10)
     bit, exhausted = serial_membership(outer, [inner], u, x, big, seed=0)
     print(f"witness search over intermediate signals: bit = {bit}, "
           f"exhausted = {exhausted} (decisive, budget not the limit)")

@@ -114,6 +114,13 @@ def fn_compose(f: BoolFn, inner: list[BoolFn] | tuple[BoolFn, ...]) -> BoolFn:
     return BoolFn(total, tuple(table))
 
 
+def fn_leq(f: BoolFn, g: BoolFn) -> bool:
+    """f <= g pointwise, by one pass over the two tables."""
+    if g.arity != f.arity:
+        raise ArityMismatch("f and g must share arity")
+    return all(a <= b for a, b in zip(f.table, g.table))
+
+
 @dataclass(frozen=True)
 class FnProps:
     leq_fg: Bit
@@ -152,9 +159,7 @@ def fn_props(f: BoolFn, g: BoolFn | None = None) -> FnProps:
     """
     if g is None:
         g = f
-    if g.arity != f.arity:
-        raise ArityMismatch("f and g must share arity")
-    leq = all(f(*a) <= g(*a) for a in f.inputs())
+    leq = fn_leq(f, g)
     max_f = max(f.table)
     min_g = min(g.table)
     mono = is_monotone(f) and is_monotone(g)

@@ -9,12 +9,13 @@ without search.
 
 from __future__ import annotations
 
-import random
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 
-from .boolfn import BoolFn, and_fn, apply_fn, fn_compose, fn_props, is_monotone, or_fn
-from .conditions import DEFAULT_BUDGET, LimitCondition, SearchBudget, _rng
+from .boolfn import BoolFn, apply_fn, fn_compose, fn_leq, fn_props, is_monotone
+from .conditions import LimitCondition, _rng
 from .errors import InvalidBlc, MonotonyViolated, DistributivityUnverified, PreconditionViolated
 from .signals import (
     Bit,
@@ -77,32 +78,45 @@ def blc_valid(f: BoolFn, g: BoolFn, p: BlcParams) -> Bit:
     Either the windows overlap enough (neither look-back fully precedes the
     other) or the bound functions are separated by constants.
     """
-    if not fn_props(f, g).leq_fg:
+    if not fn_leq(f, g):
         raise PreconditionViolated("need f <= g pointwise")
     overlap = p.d_r - p.m_r <= p.d_f and p.d_f - p.m_f <= p.d_r
     separated = max(f.table) <= min(g.table)
     return int(overlap or separated)
 
 
-def blc(f: BoolFn, g: BoolFn, p: BlcParams, budget: SearchBudget | None = None) -> LimitCondition:
+@dataclass(frozen=True, eq=False)
+class Blc(LimitCondition):
     """Bounded limit condition with membership lower <= x <= upper, exactly."""
-    budget = budget or DEFAULT_BUDGET
-    if not blc_valid(f, g, p):
-        raise InvalidBlc(
-            "neither the window-overlap inequalities nor the constant-separation "
-            "condition holds; the envelopes would cross"
-        )
-    det, fixed = blc_is_deterministic(f, g, p)
 
-    def env(u: MultiSignal) -> tuple[Signal, Signal]:
-        return envelopes(f, g, p, u)
+    params: BlcParams
+    kind = "blc"
 
-    def contains(u: MultiSignal, x: Signal) -> Bit:
-        lo, hi = env(u)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not blc_valid(self.f, self.g, self.params):
+            raise InvalidBlc(
+                "neither the window-overlap inequalities nor the constant-separation "
+                "condition holds; the envelopes would cross"
+            )
+
+    @cached_property
+    def deterministic(self) -> bool:
+        return blc_is_deterministic(self.f, self.g, self.params)[0] == 1
+
+    def envelopes(self, u: MultiSignal) -> tuple[Signal, Signal]:
+        return envelopes(self.f, self.g, self.params, u)
+
+    def deltas(self) -> set[Time]:
+        p = self.params
+        return {p.d_r, p.d_r - p.m_r, p.d_f, p.d_f - p.m_f}
+
+    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
+        lo, hi = self.envelopes(u)
         return int(signal_leq(lo, x) and signal_leq(x, hi))
 
-    def sample(u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        lo, hi = env(u)
+    def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
+        lo, hi = self.envelopes(u)
         out = [lo, hi]
         rng = _rng(seed, "blc")
         pool = breakpoints(lo, hi) or [Fraction(0)]
@@ -110,17 +124,12 @@ def blc(f: BoolFn, g: BoolFn, p: BlcParams, budget: SearchBudget | None = None) 
             times = sorted(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
             r = make_signal(rng.randint(0, 1), [(t, rng.randint(0, 1)) for t in times])
             out.append(lo | (r & hi))
-        uniq: list[Signal] = []
-        for x in out:
-            if x not in uniq:
-                uniq.append(x)
-        return uniq[: max(count, 1)]
+        return list(dict.fromkeys(out))[: max(count, 1)]
 
-    return LimitCondition(
-        f.arity, f, g, "blc", contains, sample,
-        meta={"params": p, "deterministic": bool(det), "fixed_delay": fixed,
-              "envelopes": env},
-    )
+
+def blc(f: BoolFn, g: BoolFn, p: BlcParams) -> Blc:
+    """Bounded limit condition with bound pair (f, g) and window parameters p."""
+    return Blc(f, g, p)
 
 
 def blc_is_deterministic(f: BoolFn, g: BoolFn, p: BlcParams) -> tuple[Bit, Time | None]:
@@ -153,7 +162,7 @@ def blc_included(
     the looser one.
     """
     for pair in ((f, g), (f2, g2)):
-        if not fn_props(*pair).leq_fg:
+        if not fn_leq(*pair):
             raise PreconditionViolated("need f <= g pointwise in both models")
     fn_nested = all(
         f2(*a) <= f(*a) and g(*a) <= g2(*a) for a in f.inputs()
@@ -239,63 +248,56 @@ def envelope_violation(f: BoolFn, g: BoolFn, p: BlcParams) -> tuple[MultiSignal,
 
 # --- closed-form serial composition -----------------------------------------
 
-def _random_multisignal(rng: random.Random, m: int) -> MultiSignal:
-    out = []
-    for _ in range(m):
-        times = sorted({Fraction(rng.randint(-8, 24), rng.choice((1, 2, 4)))
-                        for _ in range(rng.randint(0, 4))})
-        out.append(make_signal(rng.randint(0, 1),
-                               [(t, rng.randint(0, 1)) for t in times]))
-    return tuple(out)
+def _meet_homomorphic(table: tuple[Bit, ...]) -> bool:
+    """h(a AND b) == h(a) AND h(b) for all arguments a, b.
 
-
-def _distributes(h: BoolFn, windows: list[tuple[Time, Time]], mode: str,
-                 budget: SearchBudget) -> bool:
-    """Sampled check that h commutes with the window operator, exactly.
-
-    AND with the all-window and OR with the any-window commute structurally;
-    anything else is tried on random inputs for every window in play.
+    Such an h is constant 0 or the AND of the inputs in some set c: its ones
+    are exactly the arguments above the meet c of all its ones.
     """
-    if mode == "all" and h.table == and_fn(h.arity).table:
+    ones = [a for a, v in enumerate(table) if v]
+    if not ones:
         return True
-    if mode == "any" and h.table == or_fn(h.arity).table:
+    c = reduce(operator.and_, ones)
+    return all(v == (a & c == c) for a, v in enumerate(table))
+
+
+def _distributes(h: BoolFn, windows: list[tuple[Time, Time]], mode: str) -> bool:
+    """Exact check that h commutes with the window operator of mode.
+
+    Point windows commute with every function.  Once a window has positive
+    width, h commutes with the all-window iff h is a meet-homomorphism
+    (constant 0 or an AND of some inputs), and with the any-window iff it is
+    a join-homomorphism (constant 1 or an OR of some inputs); see Heijmans,
+    Morphological Image Operators, 1994.  A join-homomorphism is the dual,
+    not h(not a), of a meet-homomorphism.
+    """
+    if all(m_ == 0 for _, m_ in windows):
         return True
-    op = window_all if mode == "all" else window_any
-    rng = _rng(0, f"distr:{mode}:{h.bits()}")
-    for _ in range(budget.cases):
-        u = _random_multisignal(rng, h.arity)
-        for d, m_ in windows:
-            if m_ == 0:
-                continue  # point windows always commute
-            lhs = apply_fn(h, tuple(op(up, d, m_) for up in u))
-            rhs = op(apply_fn(h, u), d, m_)
-            if lhs != rhs:
-                return False
-    return True
+    if mode == "any":
+        return _meet_homomorphic(tuple(1 - v for v in reversed(h.table)))
+    return _meet_homomorphic(h.table)
 
 
 def blc_compose(
     f: BoolFn, g: BoolFn, p: BlcParams,
     inner: list[tuple[BoolFn, BoolFn]], p_inner: BlcParams,
-    budget: SearchBudget | None = None,
-) -> LimitCondition:
+) -> Blc:
     """Chain of bounded conditions with one shared inner parameter tuple.
 
     Valid when the outer bounds are monotone and commute with the windows in
     play; the result is again a bounded condition whose parameters are the
     component-wise sums.
     """
-    budget = budget or DEFAULT_BUDGET
     if len(inner) != f.arity:
         raise PreconditionViolated("need one inner bound pair per outer input")
     if not (is_monotone(f) and is_monotone(g)):
         raise MonotonyViolated("closed-form chain needs monotone outer bounds")
     rise_windows = [(p.d_r, p.m_r), (p_inner.d_r, p_inner.m_r)]
     fall_windows = [(p.d_f, p.m_f), (p_inner.d_f, p_inner.m_f)]
-    if not _distributes(f, rise_windows, "all", budget):
+    if not _distributes(f, rise_windows, "all"):
         raise DistributivityUnverified("outer lower bound does not pass through the all-window")
-    if not _distributes(g, fall_windows, "any", budget):
+    if not _distributes(g, fall_windows, "any"):
         raise DistributivityUnverified("outer upper bound does not pass through the any-window")
     F = fn_compose(f, [fi for fi, _ in inner])
     G = fn_compose(g, [gi for _, gi in inner])
-    return blc(F, G, p + p_inner, budget)
+    return blc(F, G, p + p_inner)

@@ -26,7 +26,7 @@ from .files import (
     write_model_file,
     write_signal_file,
 )
-from .inertial import AicParams, aic_contains
+from .inertial import AicParams, Bailc, aic_violation
 from .props import GenConfig, describe, run_theorem, theorem_ids
 from .signals import Signal, Time, breakpoints, first_one_time, signal_leq
 
@@ -49,20 +49,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.witness < 1:
             print("ValidationError: --witness needs a positive count", file=sys.stderr)
             return 2
-        found: list[Signal] = []
+        found: dict[Signal, None] = {}
         for round_ in range(5):
-            for x in model.sample(u, args.witness, args.seed + round_):
-                if x not in found:
-                    found.append(x)
+            found.update(dict.fromkeys(model.sample(u, args.witness, args.seed + round_)))
             if len(found) >= args.witness:
                 break
-        found = found[: args.witness]
-        for k, x in enumerate(found):
+        for k, x in enumerate(list(found)[: args.witness]):
             path = args.out if args.witness == 1 else _numbered(args.out, k)
             write_signal_file(path, x)
             print(path)
         return 0
-    if not model.meta.get("deterministic"):
+    if not model.deterministic:
         print(
             "NondeterministicModel: this model admits several outputs per input; "
             "pass --witness n to sample members",
@@ -78,21 +75,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # --- check ---------------------------------------------------------------------
 
 def _envelope_violation_time(model: LimitCondition, u, x: Signal) -> Time | None:
-    env = model.meta.get("envelopes")
+    env = model.envelopes(u)
     if env is None:
         return None
-    lo, hi = env(u)
+    lo, hi = env
     viol = (lo & ~x) | (x & ~hi)
     return first_one_time(viol)
-
-
-def _dwell_violation_time(x: Signal, a: AicParams) -> Time | None:
-    ts = [t for t, _ in x.transitions]
-    for (t1, v1), t2 in zip(x.transitions, ts[1:]):
-        need = a.delta_r if v1 == 1 else a.delta_f
-        if t2 - t1 <= need:
-            return t2
-    return None
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -106,8 +94,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         u = _read_inputs(args.inputs)
         if model.contains(u, x) != 1:
             t = _envelope_violation_time(model, u, x)
-            if t is None and "aic" in model.meta:
-                t = _dwell_violation_time(x, model.meta["aic"])
+            if t is None and isinstance(model, Bailc):
+                t = aic_violation(x, model.aic)
             if t is None:
                 pts = breakpoints(*(list(u) + [x]))
                 t = (pts[-1] + 1) if pts else Fraction(0)
@@ -115,9 +103,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 1
     if args.aic is not None:
         a = AicParams(parse_time(args.aic[0]), parse_time(args.aic[1]))
-        if aic_contains(x, a) != 1:
-            t = _dwell_violation_time(x, a)
-            assert t is not None
+        t = aic_violation(x, a)
+        if t is not None:
             print(f"violation at t={format_time(t)}")
             return 1
     print("ok")

@@ -1,10 +1,11 @@
 """Limit conditions: input-indexed sets of admissible output signals.
 
 A limit condition of arity m assigns to every m-tuple of input signals a set
-of outputs lying between two eventual bounds f and g.  Sets are represented
-intensionally by a membership predicate plus a seeded witness sampler, so
-combinators (meet, join, product, serial) stay cheap and emptiness is only
-ever detected lazily, when a sampler runs out of candidates.
+of outputs lying between two eventual bounds f and g.  Each model kind is a
+frozen dataclass deriving from `LimitCondition`: its fields are the kind's
+parameters, and its hooks decide membership and draw seeded witnesses.  Sets
+stay intensional, so combinators (meet, join, product, serial) are cheap and
+emptiness is only ever detected lazily, when a sampler runs out of candidates.
 
 The serial combinator also carries a generic witness search over a finite
 candidate grid; closed-form compositions elsewhere in the package are checked
@@ -14,12 +15,13 @@ against that search, never the other way around.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Literal, Sequence
 
-from .boolfn import BoolFn, apply_fn, fn_compose, fn_props
+from .boolfn import BoolFn, and_fn, apply_fn, fn_compose, fn_leq, identity_fn, or_fn
 from .errors import (
     ArityMismatch,
     BlockArityMismatch,
@@ -43,10 +45,13 @@ from .signals import (
     breakpoints,
     constant,
     make_signal,
-    signal_leq,
     translate,
     translate_all,
 )
+
+if TYPE_CHECKING:
+    from .bounded import BlcParams
+    from .inertial import AicParams
 
 
 @dataclass(frozen=True)
@@ -54,15 +59,13 @@ class SearchBudget:
     """Caps for all witness searches; exceeding them is inconclusive, never wrong."""
 
     max_nodes: int = 2000
-    max_transitions: int = 12
     refinements: int = 1
     samples: int = 6
-    cases: int = 50
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 1 or self.samples < 1 or self.cases < 1:
+        if self.max_nodes < 1 or self.samples < 1:
             raise PreconditionViolated("budget counts must be positive")
-        if self.refinements < 0 or self.max_transitions < 0:
+        if self.refinements < 0:
             raise PreconditionViolated("budget limits must be non-negative")
 
 
@@ -71,13 +74,17 @@ DEFAULT_BUDGET = SearchBudget()
 
 @dataclass(frozen=True, eq=False)
 class SignalSet:
-    """A set of signals given by a membership predicate and a sampler."""
+    """A set of signals given by a membership predicate and a sampler.
+
+    `dwell` is set on the dwell-time sets of `inertial.aic_set`, whose
+    members a witness search can construct directly.
+    """
 
     description: str
     kind: str
     _contains: Callable[[Signal], Bit]
     _sample: Callable[[int, int], list[Signal]]
-    meta: dict = field(default_factory=dict, repr=False)
+    dwell: AicParams | None = None
 
     def contains(self, x: Signal) -> Bit:
         return self._contains(x)
@@ -86,28 +93,45 @@ class SignalSet:
         return self._sample(count, seed)
 
 
-@dataclass(frozen=True, eq=False)
-class LimitCondition:
-    """Arity, bound pair, membership predicate and witness sampler.
+def _distinct_members(
+    pool: Iterable[Signal], admits: Callable[[Signal], Bit], cap: int | None = None
+) -> list[Signal]:
+    """The distinct signals of pool that admits accepts, in first-seen order,
+    stopping once cap of them are found."""
+    out: dict[Signal, None] = {}
+    for x in pool:
+        if cap is not None and len(out) >= cap:
+            break
+        if x not in out and admits(x):
+            out[x] = None
+    return list(out)
 
-    `meta` carries kind-specific data (delay parameters, component models,
-    envelope builders) used by combinators and by the CLI; it never affects
-    membership semantics.
+
+@dataclass(frozen=True, eq=False)
+class LimitCondition(ABC):
+    """Bound pair (f, g) of a model; one subclass per model kind.
+
+    The arity is that of the bound functions, and f <= g is checked once,
+    here.  `contains`, `membership` and `sample` are defined only here:
+    they check the input tuple and call the kind's `_contains`,
+    `_membership` and `_sample` hooks.  The remaining methods tell the serial
+    witness search what a kind knows about its outputs; the defaults here
+    say that nothing is known.
     """
 
-    input_arity: int
     f: BoolFn
     g: BoolFn
-    kind: str
-    _contains: Callable[[MultiSignal, Signal], Bit]
-    _sample: Callable[[MultiSignal, int, int], list[Signal]]
-    meta: dict = field(default_factory=dict, repr=False)
+    kind: ClassVar[str]
 
     def __post_init__(self) -> None:
-        if self.f.arity != self.input_arity or self.g.arity != self.input_arity:
+        if self.g.arity != self.f.arity:
             raise ArityMismatch("bound functions must match the input arity")
-        if not fn_props(self.f, self.g).leq_fg:
+        if not fn_leq(self.f, self.g):
             raise PreconditionViolated("lower bound function must be <= upper bound")
+
+    @property
+    def input_arity(self) -> int:
+        return self.f.arity
 
     def _check_input(self, u: MultiSignal) -> MultiSignal:
         u = tuple(u)
@@ -120,13 +144,62 @@ class LimitCondition:
 
     def membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
         """(bit, inconclusive): inconclusive marks a search that hit its budget."""
-        probe = self.meta.get("membership")
-        if probe is not None:
-            return probe(self._check_input(u), x)
-        return self.contains(u, x), False
+        return self._membership(self._check_input(u), x)
 
     def sample(self, u: MultiSignal, count: int = 3, seed: int = 0) -> list[Signal]:
         return self._sample(self._check_input(u), count, seed)
+
+    @abstractmethod
+    def _contains(self, u: MultiSignal, x: Signal) -> Bit: ...
+
+    def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
+        return self._contains(u, x), False
+
+    @abstractmethod
+    def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]: ...
+
+    @property
+    def deterministic(self) -> bool:
+        """True when the model is known to admit exactly one output per input."""
+        return False
+
+    def envelopes(self, u: MultiSignal) -> tuple[Signal, Signal] | None:
+        """Least and greatest admissible output for u, when the kind has them."""
+        return None
+
+    def deltas(self) -> set[Time]:
+        """Delay-like quantities of the model, used to seed candidate grids."""
+        return set()
+
+    def finite_outputs(self, u: MultiSignal, seed: int) -> list[Signal] | None:
+        """Every admissible output for u when the model admits at most
+        finitely many; None when no such finite description applies."""
+        if not self.deterministic:
+            return None
+        try:
+            return self.sample(u, 1, seed)
+        except SiglimError:
+            return []
+
+    def dwell_search(
+        self, u: MultiSignal, lo: Signal | None, hi: Signal | None, seed: int
+    ) -> Signal | None:
+        """An admissible output for u between lo and hi (None: unbounded),
+        built by the dwell-constrained kinds; None when none was found."""
+        return None
+
+
+def _finite_within(
+    model: LimitCondition, parts: Sequence[LimitCondition], u: MultiSignal, seed: int
+) -> list[Signal] | None:
+    """Members of model among its parts' finite output lists, if all have one."""
+    outs: list[Signal] = []
+    for part in parts:
+        sub = part.finite_outputs(u, seed)
+        if sub is None:
+            return None
+        outs += sub
+    return [y for y in outs if model.contains(u, y)]
 
 
 def sol_contains(f: BoolFn, g: BoolFn, u: MultiSignal, x: Signal) -> Bit:
@@ -151,9 +224,20 @@ def _force_eventual(x: Signal, value: Bit) -> Signal:
     return make_signal(x.initial, list(x.transitions) + [(last + 1, value)])
 
 
-def _sol_sampler(f: BoolFn, g: BoolFn):
-    def sample(u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        lo, hi = apply_fn(f, u), apply_fn(g, u)
+@dataclass(frozen=True, eq=False)
+class Sol(LimitCondition):
+    """Eventual-value condition: only the settled output is constrained.
+
+    `kind` names the instance: sol for any f <= g, sc, mc or scf.
+    """
+
+    kind: Literal["sol", "sc", "mc", "scf"]
+
+    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
+        return sol_contains(self.f, self.g, u, x)
+
+    def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
+        lo, hi = apply_fn(self.f, u), apply_fn(self.g, u)
         lam, mu = lo.eventual_value(), hi.eventual_value()
         out = [lo, hi, constant(lam), constant(mu)]
         rng = _rng(seed, "sol")
@@ -162,50 +246,27 @@ def _sol_sampler(f: BoolFn, g: BoolFn):
             times = sorted(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
             base = make_signal(rng.randint(0, 1), [(t, rng.randint(0, 1)) for t in times])
             out.append(_force_eventual(base, rng.choice((lam, mu))))
-        uniq: list[Signal] = []
-        for x in out:
-            if x not in uniq:
-                uniq.append(x)
-        return uniq[: max(count, 2)]
-
-    return sample
+        return list(dict.fromkeys(out))[: max(count, 2)]
 
 
-def _sol_like(f: BoolFn, g: BoolFn, kind: str) -> LimitCondition:
-    if not fn_props(f, g).leq_fg:
-        raise PreconditionViolated("need f <= g pointwise")
-    return LimitCondition(
-        input_arity=f.arity,
-        f=f,
-        g=g,
-        kind=kind,
-        _contains=lambda u, x: sol_contains(f, g, u, x),
-        _sample=_sol_sampler(f, g),
-    )
-
-
-def sol(f: BoolFn, g: BoolFn) -> LimitCondition:
+def sol(f: BoolFn, g: BoolFn) -> Sol:
     """Loosest condition with bound pair (f, g): only eventual values are constrained."""
-    return _sol_like(f, g, "sol")
+    return Sol(f, g, "sol")
 
 
-def sc() -> LimitCondition:
+def sc() -> Sol:
     """Stability condition: the output eventually copies a settled input."""
-    from .boolfn import identity_fn
-
-    return _sol_like(identity_fn(), identity_fn(), "sc")
+    return Sol(identity_fn(), identity_fn(), "sc")
 
 
-def mc(m: int) -> LimitCondition:
+def mc(m: int) -> Sol:
     """Muller condition: output settles between the AND and OR of the inputs."""
-    from .boolfn import and_fn, or_fn
-
-    return _sol_like(and_fn(m), or_fn(m), "mc")
+    return Sol(and_fn(m), or_fn(m), "mc")
 
 
-def scf(f: BoolFn) -> LimitCondition:
+def scf(f: BoolFn) -> Sol:
     """Stability of the computed value f(u): the output settles to it exactly."""
-    return _sol_like(f, f, "scf")
+    return Sol(f, f, "scf")
 
 
 def _same_bounds(i: LimitCondition, j: LimitCondition) -> None:
@@ -215,108 +276,124 @@ def _same_bounds(i: LimitCondition, j: LimitCondition) -> None:
         raise PreconditionViolated("components must share the bound pair (f, g)")
 
 
-def lc_meet(i: LimitCondition, j: LimitCondition, budget: SearchBudget | None = None) -> LimitCondition:
-    """Intersection of two conditions with the same bound pair.
+@dataclass(frozen=True, eq=False)
+class Meet(LimitCondition):
+    """Intersection of models sharing one bound pair, optionally restricted
+    to the outputs inside a signal set.
 
     Non-emptiness is checked lazily: sampling raises EmptyMeet when no common
     witness is found within the budget.
     """
-    _same_bounds(i, j)
-    budget = budget or DEFAULT_BUDGET
 
-    def contains(u: MultiSignal, x: Signal) -> Bit:
-        return i.contains(u, x) & j.contains(u, x)
+    parts: tuple[LimitCondition, ...]
+    within: SignalSet | None
+    budget: SearchBudget
+    kind = "meet"
 
-    def sample(u: MultiSignal, count: int, seed: int) -> list[Signal]:
+    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
+        return int(all(part.contains(u, x) for part in self.parts)
+                   and (self.within is None or self.within.contains(x)))
+
+    def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         pool: list[Signal] = []
         for s in range(3):
-            pool += i.sample(u, budget.samples, seed + s)
-            pool += j.sample(u, budget.samples, seed + s)
+            for part in self.parts:
+                pool += part.sample(u, self.budget.samples, seed + s)
         pool += [constant(0), constant(1)]
-        out: list[Signal] = []
-        for x in pool:
-            if x not in out and i.contains(u, x) and j.contains(u, x):
-                out.append(x)
-        if not out:
-            raise EmptyMeet("no common witness found within budget")
-        return out[:count]
-
-    return LimitCondition(i.input_arity, i.f, i.g, "meet", contains, sample,
-                          meta={"parts": (i, j)})
-
-
-def lc_meet_set(i: LimitCondition, v: SignalSet, budget: SearchBudget | None = None) -> LimitCondition:
-    """Restrict the admissible outputs of i to members of the signal set v."""
-    budget = budget or DEFAULT_BUDGET
-
-    def contains(u: MultiSignal, x: Signal) -> Bit:
-        return i.contains(u, x) & v.contains(x)
-
-    def sample(u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        pool: list[Signal] = []
-        for s in range(3):
-            pool += i.sample(u, budget.samples, seed + s)
-        pool += [constant(0), constant(1)]
-        out: list[Signal] = []
-        for x in pool:
-            if x not in out and i.contains(u, x) and v.contains(x):
-                out.append(x)
-        if len(out) < count and i.kind in ("blc", "bailc") and v.kind == "aic":
+        out = _distinct_members(pool, lambda x: self._contains(u, x))
+        i, v = self.parts[0], self.within
+        if len(out) < count and v is not None and v.dwell is not None \
+                and i.kind in ("blc", "bailc"):
             from .inertial import bailc_witness_search
 
-            p = i.meta["params"]
-            y = bailc_witness_search(i.f, i.g, p, v.meta["params"], u, budget, seed=seed)
+            y = bailc_witness_search(i.f, i.g, i.params, v.dwell, u, self.budget, seed=seed)
             if y is not None and y not in out:
                 out.append(y)
         if not out:
-            raise EmptyMeet("no witness inside the signal set found within budget")
+            raise EmptyMeet("no witness inside the signal set found within budget"
+                            if v is not None else "no common witness found within budget")
         return out[:count]
 
-    return LimitCondition(i.input_arity, i.f, i.g, "meet", contains, sample,
-                          meta={"parts": (i,), "set": v})
+    def deltas(self) -> set[Time]:
+        return set().union(*(part.deltas() for part in self.parts))
+
+    def finite_outputs(self, u: MultiSignal, seed: int) -> list[Signal] | None:
+        return _finite_within(self, self.parts, u, seed)
 
 
-def lc_join(i: LimitCondition, j: LimitCondition) -> LimitCondition:
+def lc_meet(i: LimitCondition, j: LimitCondition, budget: SearchBudget | None = None) -> Meet:
+    """Intersection of two conditions with the same bound pair."""
+    _same_bounds(i, j)
+    return Meet(i.f, i.g, (i, j), None, budget or DEFAULT_BUDGET)
+
+
+def lc_meet_set(i: LimitCondition, v: SignalSet, budget: SearchBudget | None = None) -> Meet:
+    """Restrict the admissible outputs of i to members of the signal set v."""
+    return Meet(i.f, i.g, (i,), v, budget or DEFAULT_BUDGET)
+
+
+@dataclass(frozen=True, eq=False)
+class Join(LimitCondition):
+    """Union of models sharing one bound pair."""
+
+    parts: tuple[LimitCondition, ...]
+    kind = "join"
+
+    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
+        return int(any(part.contains(u, x) for part in self.parts))
+
+    def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
+        pool = [x for part in self.parts for x in part.sample(u, count, seed)]
+        return list(dict.fromkeys(pool))[:count]
+
+    def deltas(self) -> set[Time]:
+        return set().union(*(part.deltas() for part in self.parts))
+
+    def finite_outputs(self, u: MultiSignal, seed: int) -> list[Signal] | None:
+        return _finite_within(self, self.parts, u, seed)
+
+
+def lc_join(i: LimitCondition, j: LimitCondition) -> Join:
     """Union of two conditions with the same bound pair."""
     _same_bounds(i, j)
-
-    def contains(u: MultiSignal, x: Signal) -> Bit:
-        return i.contains(u, x) | j.contains(u, x)
-
-    def sample(u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        out: list[Signal] = []
-        for x in i.sample(u, count, seed) + j.sample(u, count, seed):
-            if x not in out:
-                out.append(x)
-        return out[:count]
-
-    return LimitCondition(i.input_arity, i.f, i.g, "join", contains, sample,
-                          meta={"parts": (i, j)})
+    return Join(i.f, i.g, (i, j))
 
 
-def lc_restrict(i: LimitCondition, sets: Sequence[SignalSet]) -> LimitCondition:
+@dataclass(frozen=True, eq=False)
+class Restrict(LimitCondition):
     """Partial condition defined only where every input lies in its set.
 
     Outside the domain the membership predicate answers 0; sampling there is
     an error because no witness set exists.
     """
-    if len(sets) != i.input_arity:
-        raise ArityMismatch("need one input set per coordinate")
-    sets = tuple(sets)
 
-    def in_domain(u: MultiSignal) -> bool:
-        return all(v.contains(up) for v, up in zip(sets, u))
+    base: LimitCondition
+    sets: tuple[SignalSet, ...]
+    kind = "restrict"
 
-    def contains(u: MultiSignal, x: Signal) -> Bit:
-        return i.contains(u, x) if in_domain(u) else 0
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(self.sets) != self.input_arity:
+            raise ArityMismatch("need one input set per coordinate")
 
-    def sample(u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        if not in_domain(u):
+    def _in_domain(self, u: MultiSignal) -> bool:
+        return all(v.contains(up) for v, up in zip(self.sets, u))
+
+    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
+        return self.base.contains(u, x) if self._in_domain(u) else 0
+
+    def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
+        if not self._in_domain(u):
             raise PreconditionViolated("input outside the restriction domain")
-        return i.sample(u, count, seed)
+        return self.base.sample(u, count, seed)
 
-    return LimitCondition(i.input_arity, i.f, i.g, "restrict", contains, sample,
-                          meta={"base": i, "sets": sets})
+    def finite_outputs(self, u: MultiSignal, seed: int) -> list[Signal] | None:
+        return _finite_within(self, (self.base,), u, seed)
+
+
+def lc_restrict(i: LimitCondition, sets: Sequence[SignalSet]) -> Restrict:
+    """Restrict i to the inputs whose every coordinate lies in its set."""
+    return Restrict(i.f, i.g, i, tuple(sets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,18 +418,15 @@ class DirectProduct:
 
     def __call__(self, u: MultiSignal) -> list[SignalSet]:
         blocks = self.split(tuple(u))
-        out = []
-        for j, blk in zip(self.components, blocks):
-            out.append(
-                SignalSet(
-                    description=f"component {j.kind} on its block",
-                    kind="product",
-                    _contains=lambda x, j=j, blk=blk: j.contains(blk, x),
-                    _sample=lambda count, seed, j=j, blk=blk: j.sample(blk, count, seed),
-                    meta={"component": j, "block": blk},
-                )
+        return [
+            SignalSet(
+                description=f"component {j.kind} on its block",
+                kind="product",
+                _contains=lambda x, j=j, blk=blk: j.contains(blk, x),
+                _sample=lambda count, seed, j=j, blk=blk: j.sample(blk, count, seed),
             )
-        return out
+            for j, blk in zip(self.components, blocks)
+        ]
 
 
 def direct_product(components: Sequence[LimitCondition]) -> DirectProduct:
@@ -363,46 +437,14 @@ def direct_product(components: Sequence[LimitCondition]) -> DirectProduct:
 
 # --- serial connection ------------------------------------------------------
 
-def _split_blocks(js: Sequence[LimitCondition], u: MultiSignal) -> list[MultiSignal]:
-    total = sum(j.input_arity for j in js)
-    if len(u) != total:
-        raise BlockArityMismatch(f"expected {total} signals, got {len(u)}")
-    blocks, pos = [], 0
-    for j in js:
-        blocks.append(tuple(u[pos : pos + j.input_arity]))
-        pos += j.input_arity
-    return blocks
-
-
 def _composed_bounds(i: LimitCondition, js: Sequence[LimitCondition]) -> tuple[BoolFn, BoolFn]:
     if len(js) != i.input_arity:
         raise ArityMismatch(f"outer arity {i.input_arity} needs as many inner models")
     F = fn_compose(i.f, [j.f for j in js])
     G = fn_compose(i.g, [j.g for j in js])
-    if not fn_props(F, G).leq_fg:
+    if not fn_leq(F, G):
         raise HypothesisViolated("composed lower bound exceeds composed upper bound")
     return F, G
-
-
-def _model_deltas(lc: LimitCondition) -> set[Time]:
-    """Delay-like quantities of a model, used to seed candidate grids."""
-    out: set[Time] = set()
-    meta = lc.meta
-    if "delay" in meta:
-        out.add(as_time(meta["delay"]))
-    p = meta.get("params")
-    if p is not None:
-        out |= {p.d_r, p.d_r - p.m_r, p.d_f, p.d_f - p.m_f}
-    a = meta.get("aic")
-    if a is not None:
-        out |= {a.delta_r, a.delta_f}
-    for part in meta.get("parts", ()):  # meets and joins
-        out |= _model_deltas(part)
-    if "outer" in meta:
-        out |= _model_deltas(meta["outer"])
-        for j in meta["inners"]:
-            out |= _model_deltas(j)
-    return out
 
 
 def _grid_times(base: Sequence[Time], deltas: set[Time], refined: bool) -> list[Time]:
@@ -417,15 +459,15 @@ def _grid_times(base: Sequence[Time], deltas: set[Time], refined: bool) -> list[
 
 
 def _clamp(x: Signal, lo: Signal, hi: Signal) -> Signal:
-    return combine_or(lo, combine_and(x, hi))
+    return lo | (x & hi)
 
 
-def combine_and(a: Signal, b: Signal) -> Signal:
-    return a & b
+def _adjoints(p: BlcParams, x: Signal) -> tuple[Signal, Signal]:
+    """Exact adjoints of a window-bounded outer stage's two windows at x.
 
-
-def combine_or(a: Signal, b: Signal) -> Signal:
-    return a | b
+    They bracket every intermediate signal that such a stage maps onto x.
+    """
+    return _erode(x, p.m_f - p.d_f, p.m_f), _dilate(x, p.m_r - p.d_r, p.m_r)
 
 
 def _constructed_candidates(
@@ -433,40 +475,49 @@ def _constructed_candidates(
 ) -> list[Signal]:
     """Likely intermediate witnesses, derived from the query rather than the grid.
 
-    For window-bounded outers the exact adjoints of the two windows bracket
-    every admissible intermediate signal, so clamping them against the inner
-    envelopes hits most members in one shot.
+    For window-bounded outers the adjoints bracket every admissible
+    intermediate signal, so clamping them against the inner envelopes hits
+    most members in one shot.
     """
     cands: list[Signal] = [x, ~x]
-    p = outer.meta.get("params")
-    if p is not None:
-        ymin = _erode(x, p.m_f - p.d_f, p.m_f)
-        ymax = _dilate(x, p.m_r - p.d_r, p.m_r)
+    env = j.envelopes(blk)
+    if outer.kind in ("blc", "bailc"):
+        p = outer.params
+        ymin, ymax = _adjoints(p, x)
         cands += [ymin, ymax]
-        env = j.meta.get("envelopes")
         if env is not None:
-            lo, hi = env(blk)
+            lo, hi = env
             for z in (ymin, ymax, x, translate(x, -p.d_r), translate(x, -p.d_f)):
                 cands.append(_clamp(z, lo, hi))
             cands += [lo, hi]
-    d = outer.meta.get("delay")
-    if d is not None:
-        cands += [translate(x, -d), ~translate(x, -d)]
-        env = j.meta.get("envelopes")
+    elif outer.kind == "flc":
+        z = translate(x, -outer.delay)
+        cands += [z, ~z]
         if env is not None:
-            lo, hi = env(blk)
-            cands += [lo, hi, _clamp(translate(x, -d), lo, hi)]
-    if not p and d is None:
-        env = j.meta.get("envelopes")
-        if env is not None:
-            cands += list(env(blk))
+            lo, hi = env
+            cands += [lo, hi, _clamp(z, lo, hi)]
+    elif env is not None:
+        cands += list(env)
     cands += [apply_fn(j.f, blk), apply_fn(j.g, blk), constant(0), constant(1)]
     return cands
 
 
+def _dwell_targets(
+    outer: LimitCondition, x: Signal
+) -> list[tuple[Signal | None, Signal | None]]:
+    """Brackets, None meaning unbounded, for an inner stage's dwell search."""
+    targets: list[tuple[Signal | None, Signal | None]] = [(None, None)]
+    if outer.kind in ("blc", "bailc"):
+        ymin, ymax = _adjoints(outer.params, x)
+        targets += [(ymin, ymax), (ymin, None), (None, ymax)]
+    elif outer.kind == "flc":
+        z = translate(x, -outer.delay)
+        targets.append((z, z))
+    return targets
+
+
 def _grid_candidates(
-    j: LimitCondition, blk: MultiSignal, x: Signal,
-    deltas: set[Time], budget: SearchBudget, refined: bool,
+    blk: MultiSignal, x: Signal, deltas: set[Time], budget: SearchBudget, refined: bool,
 ) -> list[Signal]:
     base = breakpoints(*(list(blk) + [x]))
     grid = _grid_times(base, deltas, refined)
@@ -482,79 +533,26 @@ def _grid_candidates(
     return out
 
 
-def _deterministic_outputs(
-    j: LimitCondition, blk: MultiSignal, seed: int
-) -> list[Signal] | None:
-    """Complete witness list when j admits at most finitely many outputs.
-
-    Deterministic stages have a unique member per input; meets and joins of
-    such stages admit only members drawn from their parts' outputs.  Returns
-    None when no such finite description applies.
-    """
-    if j.meta.get("deterministic") == 1:
-        try:
-            return j.sample(blk, 1, seed)
-        except SiglimError:
-            return []
-    parts = j.meta.get("parts")
-    if parts is not None:
-        outs: list[Signal] = []
-        for part in parts:
-            sub = _deterministic_outputs(part, blk, seed)
-            if sub is None:
-                return None
-            outs += sub
-        return [y for y in outs if j.contains(blk, y)]
-    base = j.meta.get("base")
-    if base is not None:
-        sub = _deterministic_outputs(base, blk, seed)
-        if sub is None:
-            return None
-        return [y for y in sub if j.contains(blk, y)]
-    return None
-
-
 def _witness_candidates(
     j: LimitCondition, blk: MultiSignal, outer: LimitCondition, x: Signal,
-    deltas: set[Time], budget: SearchBudget, seed: int, refined: bool, cap: int,
+    targets: list[tuple[Signal | None, Signal | None]], deltas: set[Time],
+    budget: SearchBudget, seed: int, refined: bool, cap: int,
 ) -> list[Signal]:
-    finite = _deterministic_outputs(j, blk, seed)
+    finite = j.finite_outputs(blk, seed)
     if finite is not None:
-        out: list[Signal] = []
-        for y in finite:
-            if y not in out:
-                out.append(y)
-        return out
+        return list(dict.fromkeys(finite))
     raw: list[Signal] = []
     try:
         raw += j.sample(blk, budget.samples, seed)
     except EmptyMeet:
         pass
     raw += _constructed_candidates(j, blk, outer, x)
-    dwell = j.meta.get("dwell_search")
-    if dwell is not None:
-        targets: list[tuple[Signal | None, Signal | None]] = [(None, None)]
-        p = outer.meta.get("params")
-        if p is not None:
-            ymin = _erode(x, p.m_f - p.d_f, p.m_f)
-            ymax = _dilate(x, p.m_r - p.d_r, p.m_r)
-            targets += [(ymin, ymax), (ymin, None), (None, ymax)]
-        d = outer.meta.get("delay")
-        if d is not None:
-            z = translate(x, -d)
-            targets.append((z, z))
-        for lo2, hi2 in targets:
-            y = dwell(blk, lo2, hi2, seed)
-            if y is not None:
-                raw.append(y)
-    raw += _grid_candidates(j, blk, x, deltas, budget, refined)
-    out: list[Signal] = []
-    for y in raw:
-        if len(out) >= cap:
-            break
-        if y not in out and j.contains(blk, y):
-            out.append(y)
-    return out
+    for lo, hi in targets:
+        y = j.dwell_search(blk, lo, hi, seed)
+        if y is not None:
+            raw.append(y)
+    raw += _grid_candidates(blk, x, deltas, budget, refined)
+    return _distinct_members(raw, lambda y: j.contains(blk, y), cap)
 
 
 def serial_membership(
@@ -572,16 +570,15 @@ def serial_membership(
     semi-decision rather than a proof of absence.
     """
     budget = budget or DEFAULT_BUDGET
-    blocks = _split_blocks(js, u)
-    deltas = _model_deltas(i)
-    for j in js:
-        deltas |= _model_deltas(j)
+    blocks = DirectProduct(tuple(js)).split(u)
+    deltas = i.deltas().union(*(j.deltas() for j in js))
+    targets = _dwell_targets(i, x)
     m = len(js)
     cap = max(4, int(round(budget.max_nodes ** (1.0 / m))))
     exhausted = False
     for attempt in range(budget.refinements + 1):
         lists = [
-            _witness_candidates(j, blk, i, x, deltas, budget, seed, attempt > 0, cap)
+            _witness_candidates(j, blk, i, x, targets, deltas, budget, seed, attempt > 0, cap)
             for j, blk in zip(js, blocks)
         ]
         nodes = 0
@@ -597,34 +594,51 @@ def serial_membership(
     return 0, exhausted
 
 
-def serial_search(
-    i: LimitCondition, js: Sequence[LimitCondition], budget: SearchBudget | None = None
-) -> LimitCondition:
-    """Serial connection that always decides membership by witness search."""
-    budget = budget or DEFAULT_BUDGET
-    js = tuple(js)
-    F, G = _composed_bounds(i, js)
+@dataclass(frozen=True, eq=False)
+class Serial(LimitCondition):
+    """Outer model fed by one inner model per input, with no closed form.
 
-    def membership(u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
-        return serial_membership(i, js, u, x, budget)
+    When every stage is deterministic, membership and sampling evaluate the
+    stages directly; otherwise membership is the witness search
+    `serial_membership` under the budget.
+    """
 
-    def contains(u: MultiSignal, x: Signal) -> Bit:
-        return membership(u, x)[0]
+    outer: LimitCondition
+    inners: tuple[LimitCondition, ...]
+    budget: SearchBudget
+    kind = "serial"
 
-    def sample(u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        blocks = _split_blocks(js, u)
+    @property
+    def deterministic(self) -> bool:
+        return self.outer.deterministic and all(j.deterministic for j in self.inners)
+
+    def _blocks(self, u: MultiSignal) -> list[MultiSignal]:
+        return DirectProduct(self.inners).split(u)
+
+    def _stage_outputs(self, u: MultiSignal) -> MultiSignal:
+        return tuple(j.sample(blk, 1, 0)[0] for j, blk in zip(self.inners, self._blocks(u)))
+
+    def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
+        if self.deterministic:
+            return self.outer.contains(self._stage_outputs(u), x), False
+        return serial_membership(self.outer, self.inners, u, x, self.budget)
+
+    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
+        return self._membership(u, x)[0]
+
+    def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
+        if self.deterministic:
+            return self.outer.sample(self._stage_outputs(u), count, seed)
+        blocks = self._blocks(u)
         out: list[Signal] = []
         for s in range(count):
-            ys = tuple(j.sample(blk, 1 + s % 2, seed + s)[-1] for j, blk in zip(js, blocks))
-            for x in i.sample(ys, 1 + s % 2, seed + s):
-                if x not in out:
-                    out.append(x)
-        return out[:count]
+            ys = tuple(j.sample(blk, 1 + s % 2, seed + s)[-1]
+                       for j, blk in zip(self.inners, blocks))
+            out += self.outer.sample(ys, 1 + s % 2, seed + s)
+        return list(dict.fromkeys(out))[:count]
 
-    return LimitCondition(
-        sum(j.input_arity for j in js), F, G, "serial", contains, sample,
-        meta={"outer": i, "inners": js, "budget": budget, "membership": membership},
-    )
+    def deltas(self) -> set[Time]:
+        return self.outer.deltas().union(*(j.deltas() for j in self.inners))
 
 
 def closed_form(
@@ -651,22 +665,21 @@ def closed_form(
         raise KindMismatch(f"no closed form composes outer kind {i.kind!r} "
                            f"with inner kinds {sorted(kinds)}")
     if i.kind == "flc":
-        delays = {j.meta["delay"] for j in js}
+        delays = {j.delay for j in js}
         if len(delays) != 1:
             raise KindMismatch("inner fixed delays differ; no closed form")
         from .inertial import flc
 
-        return flc(fn_compose(i.meta["fn"], [j.meta["fn"] for j in js]),
-                   i.meta["delay"] + delays.pop())
-    params = {j.meta["params"] for j in js}
+        return flc(fn_compose(i.fn, [j.fn for j in js]), i.delay + delays.pop())
+    params = {j.params for j in js}
     if len(params) != 1:
         raise KindMismatch("inner window parameters differ; no closed form")
     inner = [(j.f, j.g) for j in js]
     if i.kind == "blc":
         from .bounded import blc_compose
 
-        return blc_compose(i.f, i.g, i.meta["params"], inner, params.pop(), budget)
-    aics = {j.meta["aic"] for j in js}
+        return blc_compose(i.f, i.g, i.params, inner, params.pop())
+    aics = {j.aic for j in js}
     if len(aics) != 1:
         raise KindMismatch("inner dwell times differ; no closed form")
     a_inner = aics.pop()
@@ -677,8 +690,7 @@ def closed_form(
             "stagewise execution produces")
     from .inertial import bailc_compose
 
-    return bailc_compose(i.f, i.g, i.meta["params"], i.meta["aic"], inner,
-                         params.pop(), a_inner, budget)
+    return bailc_compose(i.f, i.g, i.params, i.aic, inner, params.pop(), a_inner, budget)
 
 
 def serial(
@@ -689,35 +701,16 @@ def serial(
     Returns the `closed_form` of the chain when one is exact: fixed delays
     with a common inner delay; bounded chains with common inner parameters;
     bounded-plus-inertial chains with common inner parameters and zero inner
-    dwell.  Otherwise it falls back to direct evaluation when every stage is
-    deterministic, and to the witness search (`serial_search`) for the rest.
+    dwell.  Otherwise it returns a `Serial`, which evaluates the stages
+    directly when all are deterministic and searches for witnesses otherwise.
     """
     budget = budget or DEFAULT_BUDGET
     js = tuple(js)
     F, G = _composed_bounds(i, js)
-
     try:
         return closed_form(i, js, budget)
     except (KindMismatch, InexactComposition, MonotonyViolated, DistributivityUnverified):
-        pass
-
-    if i.meta.get("deterministic") and all(j.meta.get("deterministic") for j in js):
-        def contains(u: MultiSignal, x: Signal) -> Bit:
-            blocks = _split_blocks(js, u)
-            ys = tuple(j.sample(blk, 1, 0)[0] for j, blk in zip(js, blocks))
-            return i.contains(ys, x)
-
-        def sample(u: MultiSignal, count: int, seed: int) -> list[Signal]:
-            blocks = _split_blocks(js, u)
-            ys = tuple(j.sample(blk, 1, 0)[0] for j, blk in zip(js, blocks))
-            return i.sample(ys, count, seed)
-
-        return LimitCondition(
-            sum(j.input_arity for j in js), F, G, "serial", contains, sample,
-            meta={"outer": i, "inners": js, "budget": budget, "deterministic": True},
-        )
-
-    return serial_search(i, js, budget)
+        return Serial(F, G, i, js, budget)
 
 
 # --- behavioural checkers ---------------------------------------------------
@@ -733,19 +726,16 @@ def check_deterministic(
     """
     budget = budget or DEFAULT_BUDGET
     for u in us:
-        found: list[Signal] = []
+        u = tuple(u)
         pool: list[Signal] = []
         for s in range(3):
             try:
-                pool += i.sample(tuple(u), budget.samples, s)
+                pool += i.sample(u, budget.samples, s)
             except EmptyMeet:
                 continue
         pool += [constant(0), constant(1)]
-        for x in pool:
-            if x not in found and i.contains(tuple(u), x):
-                found.append(x)
-                if len(found) >= 2:
-                    return 0
+        if len(_distinct_members(pool, lambda x: i.contains(u, x), cap=2)) == 2:
+            return 0
     return 1
 
 

@@ -42,7 +42,7 @@ class MonotonyViolated(SiglimError):
 
 
 class DistributivityUnverified(SiglimError):
-    """Sampled window-distribution identity failed; composition refused."""
+    """An outer bound does not commute with a positive-width window; composition refused."""
 
 
 class KindMismatch(SiglimError):

@@ -141,42 +141,27 @@ def model_to_doc(i: LimitCondition) -> dict:
     if kind == "flc":
         return {
             "kind": "flc",
-            "f": fn_to_doc(i.meta["fn"]),
-            "params": {"delay": format_time(i.meta["delay"])},
+            "f": fn_to_doc(i.fn),
+            "params": {"delay": format_time(i.delay)},
         }
-    if kind == "blc":
-        p = i.meta["params"]
-        return {
-            "kind": "blc",
-            "f": fn_to_doc(i.f),
-            "g": fn_to_doc(i.g),
-            "params": {
-                "m_r": format_time(p.m_r), "d_r": format_time(p.d_r),
-                "m_f": format_time(p.m_f), "d_f": format_time(p.d_f),
-            },
+    if kind in ("blc", "bailc"):
+        p = i.params
+        params = {
+            "m_r": format_time(p.m_r), "d_r": format_time(p.d_r),
+            "m_f": format_time(p.m_f), "d_f": format_time(p.d_f),
         }
-    if kind == "bailc":
-        p, a = i.meta["params"], i.meta["aic"]
-        return {
-            "kind": "bailc",
-            "f": fn_to_doc(i.f),
-            "g": fn_to_doc(i.g),
-            "params": {
-                "m_r": format_time(p.m_r), "d_r": format_time(p.d_r),
-                "m_f": format_time(p.m_f), "d_f": format_time(p.d_f),
-                "delta_r": format_time(a.delta_r), "delta_f": format_time(a.delta_f),
-            },
-        }
+        if kind == "bailc":
+            params["delta_r"] = format_time(i.aic.delta_r)
+            params["delta_f"] = format_time(i.aic.delta_f)
+        return {"kind": kind, "f": fn_to_doc(i.f), "g": fn_to_doc(i.g), "params": params}
     if kind in ("meet", "join"):
-        parts = i.meta.get("parts")
-        if parts is None or len(parts) != 2 or i.meta.get("set") is not None:
+        if len(i.parts) != 2 or (kind == "meet" and i.within is not None):
             raise InvalidDocument(f"this {kind} model has no file representation")
-        return {"kind": kind, "children": [model_to_doc(c) for c in parts]}
+        return {"kind": kind, "children": [model_to_doc(c) for c in i.parts]}
     if kind == "serial":
-        outer, inners = i.meta["outer"], i.meta["inners"]
         return {
             "kind": "serial",
-            "children": [model_to_doc(outer)] + [model_to_doc(j) for j in inners],
+            "children": [model_to_doc(c) for c in (i.outer, *i.inners)],
         }
     raise InvalidDocument(f"model kind {kind!r} has no file representation")
 
@@ -211,22 +196,16 @@ def model_from_doc(doc: Any) -> LimitCondition:
                                 ("delay",), "flc")
         _known_keys(doc, {"kind", "f", "params"}, "flc document")
         return flc(f, d)
-    if kind == "blc":
-        f = fn_from_doc(_require(doc, "f", "blc document"), "blc lower bound")
-        g = fn_from_doc(_require(doc, "g", "blc document"), "blc upper bound")
-        vals = _params_from_doc(_require(doc, "params", "blc document"),
-                                ("m_r", "d_r", "m_f", "d_f"), "blc")
-        _known_keys(doc, {"kind", "f", "g", "params"}, "blc document")
-        return blc(f, g, BlcParams(*vals))
-    if kind == "bailc":
-        f = fn_from_doc(_require(doc, "f", "bailc document"), "bailc lower bound")
-        g = fn_from_doc(_require(doc, "g", "bailc document"), "bailc upper bound")
-        vals = _params_from_doc(
-            _require(doc, "params", "bailc document"),
-            ("m_r", "d_r", "m_f", "d_f", "delta_r", "delta_f"), "bailc",
-        )
-        _known_keys(doc, {"kind", "f", "g", "params"}, "bailc document")
-        return bailc(f, g, BlcParams(*vals[:4]), AicParams(*vals[4:]))
+    if kind in ("blc", "bailc"):
+        f = fn_from_doc(_require(doc, "f", f"{kind} document"), f"{kind} lower bound")
+        g = fn_from_doc(_require(doc, "g", f"{kind} document"), f"{kind} upper bound")
+        names = ("m_r", "d_r", "m_f", "d_f")
+        if kind == "bailc":
+            names += ("delta_r", "delta_f")
+        vals = _params_from_doc(_require(doc, "params", f"{kind} document"), names, kind)
+        _known_keys(doc, {"kind", "f", "g", "params"}, f"{kind} document")
+        p = BlcParams(*vals[:4])
+        return blc(f, g, p) if kind == "blc" else bailc(f, g, p, AicParams(*vals[4:]))
     children_doc = _require(doc, "children", f"{kind} document")
     _known_keys(doc, {"kind", "children"}, f"{kind} document")
     if not isinstance(children_doc, list):

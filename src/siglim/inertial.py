@@ -14,15 +14,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolfn import BoolFn, apply_fn, fn_compose
-from .bounded import BlcParams, blc, blc_compose, blc_valid, envelopes
-from .conditions import (
-    DEFAULT_BUDGET,
-    LimitCondition,
-    SearchBudget,
-    SignalSet,
-    _rng,
-)
+from .boolfn import BoolFn, apply_fn
+from .bounded import Blc, BlcParams, blc_compose, blc_valid, envelopes
+from .conditions import DEFAULT_BUDGET, LimitCondition, SearchBudget, SignalSet, _rng
 from .errors import EmptyBailc, InvalidBlc, NegativeDelay, PreconditionViolated
 from .signals import (
     Bit,
@@ -37,25 +31,45 @@ from .signals import (
 )
 
 
-def flc(h: BoolFn, d: Time | int) -> LimitCondition:
-    """Fixed limit condition: the output is exactly h of the inputs d ago."""
-    d = as_time(d)
-    if d < 0:
-        raise NegativeDelay(f"delay must be non-negative, got {d}")
+@dataclass(frozen=True, eq=False)
+class Flc(LimitCondition):
+    """Fixed limit condition: the output is exactly fn of the inputs delay ago."""
 
-    def output(u: MultiSignal) -> Signal:
-        return apply_fn(h, translate_all(u, d))
+    delay: Time
+    kind = "flc"
+    deterministic = True
 
-    def env(u: MultiSignal) -> tuple[Signal, Signal]:
-        y = output(u)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.f != self.g:
+            raise PreconditionViolated("a fixed delay has one function as both bounds")
+        if self.delay < 0:
+            raise NegativeDelay(f"delay must be non-negative, got {self.delay}")
+
+    @property
+    def fn(self) -> BoolFn:
+        return self.f
+
+    def _output(self, u: MultiSignal) -> Signal:
+        return apply_fn(self.f, translate_all(u, self.delay))
+
+    def envelopes(self, u: MultiSignal) -> tuple[Signal, Signal]:
+        y = self._output(u)
         return y, y
 
-    return LimitCondition(
-        h.arity, h, h, "flc",
-        lambda u, x: int(x == output(u)),
-        lambda u, count, seed: [output(u)],
-        meta={"fn": h, "delay": d, "deterministic": True, "envelopes": env},
-    )
+    def deltas(self) -> set[Time]:
+        return {self.delay}
+
+    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
+        return int(x == self._output(u))
+
+    def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
+        return [self._output(u)]
+
+
+def flc(h: BoolFn, d: Time | int) -> Flc:
+    """Fixed limit condition: the output is exactly h of the inputs d ago."""
+    return Flc(h, h, as_time(d))
 
 
 @dataclass(frozen=True)
@@ -76,20 +90,22 @@ def aic_params(delta_r, delta_f) -> AicParams:
     return AicParams(as_time(delta_r), as_time(delta_f))
 
 
-def aic_contains(x: Signal, a: AicParams) -> Bit:
-    """1 iff every value of x persists strictly longer than its dwell time.
+def aic_violation(x: Signal, a: AicParams) -> Time | None:
+    """Time of the first edge that ends a run no longer than its dwell time.
 
     Only the gap to the next transition matters, so a final edge always
     passes; a pulse of width exactly delta fails.
     """
     trans = x.transitions
-    for k in range(len(trans) - 1):
-        t, v = trans[k]
-        gap = trans[k + 1][0] - t
-        need = a.delta_r if v == 1 else a.delta_f
-        if gap <= need:
-            return 0
-    return 1
+    for (t1, v1), (t2, _) in zip(trans, trans[1:]):
+        if t2 - t1 <= (a.delta_r if v1 == 1 else a.delta_f):
+            return t2
+    return None
+
+
+def aic_contains(x: Signal, a: AicParams) -> Bit:
+    """1 iff every value of x persists strictly longer than its dwell time."""
+    return int(aic_violation(x, a) is None)
 
 
 def aic_set(a: AicParams) -> SignalSet:
@@ -116,7 +132,7 @@ def aic_set(a: AicParams) -> SignalSet:
         kind="aic",
         _contains=lambda x: aic_contains(x, a),
         _sample=sample,
-        meta={"params": a},
+        dwell=a,
     )
 
 
@@ -252,57 +268,67 @@ def bailc_witness_search(
     return search_between(lo, hi, a, budget, seed)
 
 
+@dataclass(frozen=True, eq=False)
+class Bailc(Blc):
+    """Bounded limit condition intersected with the inertial dwell constraint.
+
+    `budget` caps the dwell search that builds witnesses.
+    """
+
+    aic: AicParams
+    budget: SearchBudget
+    kind = "bailc"
+    deterministic = False  # the one bounded output may break the dwell
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not bailc_nonempty(self.f, self.g, self.params, self.aic):
+            raise EmptyBailc("dwell times exceed the combined window widths")
+
+    def deltas(self) -> set[Time]:
+        return super().deltas() | {self.aic.delta_r, self.aic.delta_f}
+
+    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
+        return super()._contains(u, x) & aic_contains(x, self.aic)
+
+    def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
+        out = dict.fromkeys(x for x in super()._sample(u, count + 2, seed)
+                            if aic_contains(x, self.aic))
+        s = 0
+        while len(out) < count and s < count + 4:
+            x = self.dwell_search(u, None, None, seed + s)
+            if x is None:
+                break
+            out[x] = None
+            s += 1
+        if not out:
+            raise EmptyBailc("no inertial witness found for this input within budget")
+        return list(out)[:count]
+
+    def dwell_search(
+        self, u: MultiSignal, lo: Signal | None, hi: Signal | None, seed: int
+    ) -> Signal | None:
+        env_lo, env_hi = self.envelopes(u)
+        if lo is not None:
+            env_lo = env_lo | lo
+        if hi is not None:
+            env_hi = env_hi & hi
+        return search_between(env_lo, env_hi, self.aic, self.budget, seed)
+
+
 def bailc(
     f: BoolFn, g: BoolFn, p: BlcParams, a: AicParams,
     budget: SearchBudget | None = None,
-) -> LimitCondition:
+) -> Bailc:
     """Bounded limit condition intersected with the inertial dwell constraint."""
-    budget = budget or DEFAULT_BUDGET
-    if not bailc_nonempty(f, g, p, a):
-        raise EmptyBailc("dwell times exceed the combined window widths")
-    base = blc(f, g, p, budget)
-
-    def contains(u: MultiSignal, x: Signal) -> Bit:
-        return base.contains(u, x) & aic_contains(x, a)
-
-    def sample(u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        out: list[Signal] = []
-        for x in base.sample(u, count + 2, seed):
-            if aic_contains(x, a) and x not in out:
-                out.append(x)
-        s = 0
-        while len(out) < count and s < count + 4:
-            x = bailc_witness_search(f, g, p, a, u, budget, seed=seed + s)
-            if x is None:
-                break
-            if x not in out:
-                out.append(x)
-            s += 1
-        if not out:
-            raise EmptyBailc(f"no inertial witness found for this input within budget")
-        return out[:count]
-
-    def dwell_search(u: MultiSignal, lo2: Signal | None, hi2: Signal | None,
-                     seed: int) -> Signal | None:
-        lo, hi = envelopes(f, g, p, u)
-        if lo2 is not None:
-            lo = lo | lo2
-        if hi2 is not None:
-            hi = hi & hi2
-        return search_between(lo, hi, a, budget, seed)
-
-    return LimitCondition(
-        f.arity, f, g, "bailc", contains, sample,
-        meta={"params": p, "aic": a, "envelopes": base.meta["envelopes"],
-              "dwell_search": dwell_search},
-    )
+    return Bailc(f, g, p, a, budget or DEFAULT_BUDGET)
 
 
 def bailc_compose(
     f: BoolFn, g: BoolFn, p: BlcParams, a: AicParams,
     inner: list[tuple[BoolFn, BoolFn]], p_inner: BlcParams, a_inner: AicParams,
     budget: SearchBudget | None = None,
-) -> LimitCondition:
+) -> Bailc:
     """Summed-parameter form of a chain of bounded-plus-inertial stages.
 
     The bounded parts compose with summed parameters and the outer dwell is
@@ -316,11 +342,10 @@ def bailc_compose(
     (law 6.6 fails at seed 42 cases 129 and 386, seed 2 case 84); `serial`
     and `closed_form` therefore use it only for zero inner dwell.
     """
-    budget = budget or DEFAULT_BUDGET
     if not bailc_nonempty(f, g, p, a):
         raise EmptyBailc("outer stage is empty")
     for fi, gi in inner:
         if not bailc_nonempty(fi, gi, p_inner, a_inner):
             raise EmptyBailc("an inner stage is empty")
-    composed = blc_compose(f, g, p, inner, p_inner, budget)
-    return bailc(composed.f, composed.g, composed.meta["params"], a, budget)
+    composed = blc_compose(f, g, p, inner, p_inner)
+    return bailc(composed.f, composed.g, composed.params, a, budget)

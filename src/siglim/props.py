@@ -85,13 +85,11 @@ from .signals import (
     window_any,
 )
 
-CHECK_BUDGET = SearchBudget(max_nodes=160, max_transitions=12,
-                            refinements=1, samples=3, cases=6)
+CHECK_BUDGET = SearchBudget(max_nodes=160, refinements=1, samples=3)
 # single-pass variant for agreement oracles: witnesses come from the stage
 # sample pools and the constructed candidates, so spend on samples rather
 # than on grid refinement rounds
-ORACLE_BUDGET = SearchBudget(max_nodes=160, max_transitions=12,
-                             refinements=0, samples=10, cases=6)
+ORACLE_BUDGET = SearchBudget(max_nodes=160, refinements=0, samples=10)
 
 
 @dataclass(frozen=True)
@@ -666,11 +664,11 @@ def _chk_4_8(cfg: GenConfig, rng: random.Random) -> str | None:
     p = _gen_overlap_params(cfg, rng)
     p2 = _gen_overlap_params(cfg, rng)
     try:
-        composed = blc_compose(f, g, p, inner, p2, CHECK_BUDGET)
+        composed = blc_compose(f, g, p, inner, p2)
     except SiglimError as e:
         return f"closed form rejected a conforming instance: {e}"
-    if composed.meta["params"] != p + p2:
-        return f"composed parameters {composed.meta['params']} differ from {p + p2}"
+    if composed.params != p + p2:
+        return f"composed parameters {composed.params} differ from {p + p2}"
     u = gen_multisignal(_small(cfg), sum(arities), rng)
     x = _member_or_random(composed, u, cfg, rng)
     outer = blc(f, g, p)
@@ -696,8 +694,8 @@ def _chk_5_2(cfg: GenConfig, rng: random.Random) -> str | None:
     if k.kind != "flc":
         return f"chain of fixed delays did not close: kind={k.kind}"
     H = fn_compose(h, hs)
-    if k.meta["delay"] != d + d2 or k.meta["fn"].table != H.table:
-        return f"closed form carries fn={k.meta['fn'].bits()} delay={k.meta['delay']}"
+    if k.delay != d + d2 or k.fn.table != H.table:
+        return f"closed form carries fn={k.fn.bits()} delay={k.delay}"
     u = gen_multisignal(cfg, sum(arities), rng)
     want = apply_fn(H, translate_all(u, d + d2))
     if k.sample(u, 1, 0)[0] != want:
@@ -721,7 +719,7 @@ def _chk_6_3(cfg: GenConfig, rng: random.Random) -> str | None:
     f, g = _gen_discriminating_pair(cfg, m, rng)
     p = _gen_overlap_params(cfg, rng)
     a = _feasible_aic(cfg, p, rng)
-    i = blc(f, g, p, CHECK_BUDGET)
+    i = blc(f, g, p)
     combined = bailc(f, g, p, a, CHECK_BUDGET)
     met = lc_meet_set(i, aic_set(a), CHECK_BUDGET)
     u = gen_multisignal(_small(cfg), m, rng)
@@ -830,7 +828,7 @@ def _draw_dwell_chain(cfg: GenConfig, rng: random.Random) -> _DwellChain | str:
         composed = bailc_compose(f, g, p, a, inner, p2, a2, CHECK_BUDGET)
     except SiglimError as e:
         return f"closed form rejected a conforming instance: {e}"
-    if composed.meta["params"] != p + p2 or composed.meta["aic"] != a:
+    if composed.params != p + p2 or composed.aic != a:
         return "composed parameters are not the summed windows with the outer dwell"
     u = gen_multisignal(_small(cfg, 4), m, rng)
     x = _member_or_random(composed, u, cfg, rng)
@@ -865,8 +863,8 @@ def _chk_6_6s(cfg: GenConfig, rng: random.Random) -> str | None:
     k = serial(c.outer, c.inners, CHECK_BUDGET)
     summed = (k.kind == "bailc" and k.f.table == c.composed.f.table
               and k.g.table == c.composed.g.table
-              and k.meta["params"] == c.composed.meta["params"]
-              and k.meta["aic"] == c.composed.meta["aic"])
+              and k.params == c.composed.params
+              and k.aic == c.composed.aic)
     exact = c.a2 == AicParams(0, 0)
     if summed != exact:
         return f"serial() gave kind={k.kind} summed={summed} for inner dwell {c.a2}: {c.detail}"
@@ -906,8 +904,6 @@ _REGISTRY: dict[str, tuple[str, Check]] = {
     "6.6s": ("serial() sums dwell chains only for zero inner dwell, where the "
              "summed form agrees with the search oracle", _chk_6_6s),
 }
-
-REGISTRY_IDS: tuple[str, ...] = tuple(_REGISTRY)
 
 
 def theorem_ids() -> tuple[str, ...]:

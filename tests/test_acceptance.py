@@ -239,7 +239,7 @@ def test_criterion_07_composition_closed_forms():
         failures += [f"{tid} {msg}" for msg in _theorem_clean(tid, 200)]
     chain = blc_compose(and_fn(2), or_fn(2), params(1, 2, 1, 2),
                         [(ID, ID), (ID, ID)], params(1, 3, 1, 3))
-    worked = chain.meta["params"] == params(2, 5, 2, 5)
+    worked = chain.params == params(2, 5, 2, 5)
     detail = f"; first: {failures[0][:90]}" if failures else ""
     _verdict(7, not failures and worked,
              f"closed-form composition vs search oracle on 200 queries per "

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from siglim import (
     BlcParams,
+    BoolFn,
     DistributivityUnverified,
     InvalidBlc,
     MonotonyViolated,
     PreconditionViolated,
     and_fn,
+    apply_fn,
     blc,
     blc_compose,
     blc_included,
@@ -25,11 +27,14 @@ from siglim import (
     envelopes,
     identity_fn,
     lower_envelope,
+    make_signal,
+    mc,
     not_fn,
     or_fn,
     params,
     proj_fn,
     pulse,
+    serial,
     signal_leq,
     translate,
     upper_envelope,
@@ -37,7 +42,7 @@ from siglim import (
     window_any,
     xor_fn,
 )
-from siglim.bounded import pattern_input, probe_inputs
+from siglim.bounded import _distributes, pattern_input, probe_inputs
 from strategies import multisignals, nonneg_rationals, signals
 
 F = Fraction
@@ -127,12 +132,24 @@ class TestValidity:
         assert envelope_violation(ID, ID, params(1, 2, 1, 2)) is None
 
 
+class TestLargeArity:
+    def test_models_build_at_arity_twelve(self):
+        # construction compares the two bound tables once, never the m!
+        # argument permutations
+        assert mc(12).input_arity == 12
+        i = blc(and_fn(12), or_fn(12), params(1, 2, 1, 2))
+        u = tuple(pulse(k, k + 4) for k in range(12))
+        lo, hi = envelopes(and_fn(12), or_fn(12), params(1, 2, 1, 2), u)
+        assert i.contains(u, lo) == i.contains(u, hi) == 1
+        assert not i.deterministic
+
+
 class TestDeterminism:
     def test_zero_width_same_bounds_is_a_pure_delay(self):
         det, fixed = blc_is_deterministic(ID, ID, params(0, 3, 0, 3))
         assert (det, fixed) == (1, F(3))
         i = blc(ID, ID, params(0, 3, 0, 3))
-        assert i.meta["deterministic"] is True
+        assert i.deterministic is True
         u = (pulse(0, 2),)
         assert i.contains(u, translate(u[0], 3)) == 1
         assert i.sample(u, 1, 0) == [translate(u[0], 3)]
@@ -208,7 +225,7 @@ class TestComposition:
             [(ID, ID), (ID, ID)], params(1, 3, 1, 3),
         )
         assert chain.kind == "blc"
-        assert chain.meta["params"] == params(2, 5, 2, 5)
+        assert chain.params == params(2, 5, 2, 5)
         assert chain.f.table == and_fn(2).table
         assert chain.g.table == or_fn(2).table
 
@@ -235,3 +252,43 @@ class TestComposition:
         with pytest.raises(PreconditionViolated):
             blc_compose(and_fn(2), or_fn(2), params(1, 2, 1, 2),
                         [(ID, ID)], params(1, 3, 1, 3))
+
+    @pytest.mark.parametrize("mode", ["all", "any"])
+    def test_distributivity_is_the_homomorphism_condition(self, mode):
+        # h commutes with a positive-width all-window (any-window) iff
+        # h(a op b) == h(a) op h(b) for every pair of arguments, op = AND (OR)
+        op = min if mode == "all" else max
+        for m in (1, 2, 3):
+            for k in range(1 << (1 << m)):
+                h = BoolFn(m, tuple((k >> b) & 1 for b in range(1 << m)))
+                args = list(h.inputs())
+                hom = all(h(*map(op, a, b)) == op(h(*a), h(*b)) for a in args for b in args)
+                assert _distributes(h, [(2, 1), (3, 0)], mode) == hom, (mode, h.bits())
+                assert _distributes(h, [(2, 0), (3, 0)], mode)
+
+    def test_accepted_bounds_commute_with_the_windows(self):
+        u = (pulse(0, 3), make_signal(1, [(1, 0), (F(5, 2), 1)]), pulse(2, 5))
+        for k in range(1 << 8):
+            h = BoolFn(3, tuple((k >> b) & 1 for b in range(8)))
+            for mode, window in (("all", window_all), ("any", window_any)):
+                if _distributes(h, [(2, 1)], mode):
+                    lhs = apply_fn(h, tuple(window(up, 2, 1) for up in u))
+                    assert lhs == window(apply_fn(h, u), 2, 1), (mode, h.bits())
+
+    def test_and_upper_bound_is_not_summed(self):
+        # AND is monotone but no join-homomorphism, so it does not pass
+        # through the any-window: a summed form would reject x, which the
+        # chain admits through y = (pulse(0, 3/2), pulse(1, 5/2))
+        inner = blc(ID, ID, params(1, 1, 1, 1))
+        with pytest.raises(DistributivityUnverified):
+            blc_compose(and_fn(2), and_fn(2), params(1, 2, 1, 2),
+                        [(ID, ID), (ID, ID)], params(1, 1, 1, 1))
+        outer = blc(and_fn(2), and_fn(2), params(1, 2, 1, 2))
+        chain = serial(outer, [inner, inner])
+        assert chain.kind == "serial"
+        u = (pulse(0, F(1, 2)), pulse(1, F(3, 2)))
+        x = pulse(2, F(5, 2))
+        y = (pulse(0, F(3, 2)), pulse(1, F(5, 2)))
+        assert inner.contains(u[:1], y[0]) == inner.contains(u[1:], y[1]) == 1
+        assert outer.contains(y, x) == 1
+        assert chain.membership(u, x) == (1, False)

@@ -217,6 +217,15 @@ class TestCompose:
         assert rc == 2
         assert "KindMismatch" in capsys.readouterr().err
 
+    def test_bound_outside_the_window_shape_is_refused(self, ws, capsys):
+        # an AND upper bound does not pass through the any-window, so the
+        # summed form would reject outputs the chain admits
+        outer = ws.model("and.json", blc(and_fn(2), and_fn(2), BlcParams(1, 2, 1, 2)))
+        inner = ws.model("i.json", blc(identity_fn(), identity_fn(), BlcParams(1, 1, 1, 1)))
+        rc = main(["compose", outer, inner, inner, "--out", ws.path("o.json")])
+        assert rc == 2
+        assert "DistributivityUnverified" in capsys.readouterr().err
+
     def test_non_monotone_outer_surfaces_the_reason(self, ws, capsys):
         outer = ws.model("x.json", blc(xor_fn(), xor_fn(), BlcParams(1, 2, 1, 2)))
         inner = ws.model("i.json", blc(identity_fn(), identity_fn(),

@@ -45,7 +45,6 @@ from siglim import (
     scf,
     serial,
     serial_membership,
-    serial_search,
     sol,
     sol_contains,
     translate,
@@ -173,8 +172,8 @@ class TestSerialDispatch:
     def test_fixed_delays_collapse(self):
         chain = serial(flc(not_fn(), 1), [flc(not_fn(), 2)])
         assert chain.kind == "flc"
-        assert chain.meta["delay"] == 3
-        assert chain.meta["fn"].bits() == "01"
+        assert chain.delay == 3
+        assert chain.fn.bits() == "01"
         u = (pulse(0, 2),)
         assert chain.contains(u, pulse(3, 5)) == 1
         assert chain.contains(u, pulse(2, 4)) == 0
@@ -184,7 +183,7 @@ class TestSerialDispatch:
         inner = blc(identity_fn(), identity_fn(), BlcParams(1, 3, 1, 3))
         chain = serial(outer, [inner, inner])
         assert chain.kind == "blc"
-        assert chain.meta["params"] == BlcParams(2, 5, 2, 5)
+        assert chain.params == BlcParams(2, 5, 2, 5)
 
     def test_dwell_chain_with_inner_dwell_is_searched(self):
         # law 6.6 case 129 at seed 42, the instance of scripts/composition_gap.py:
@@ -209,13 +208,13 @@ class TestSerialDispatch:
         inner = bailc(identity_fn(), identity_fn(), BlcParams(1, 3, 1, 3), AicParams(0, 0))
         chain = serial(outer, [inner, inner])
         assert chain.kind == "bailc"
-        assert chain.meta["params"] == BlcParams(2, 5, 2, 5)
-        assert chain.meta["aic"] == AicParams(1, 1)
+        assert chain.params == BlcParams(2, 5, 2, 5)
+        assert chain.aic == AicParams(1, 1)
 
     def test_mixed_delays_fall_back_to_deterministic_path(self):
         chain = serial(flc(and_fn(2), 1), [flc(identity_fn(), 2), flc(identity_fn(), 3)])
         assert chain.kind == "serial"
-        assert chain.meta.get("deterministic")
+        assert chain.deterministic
         u = (pulse(0, 4), pulse(1, 5))
         expected = translate(u[0], 3) & translate(u[1], 4)
         assert chain.contains(u, expected) == 1
@@ -233,10 +232,9 @@ class TestSerialDispatch:
         i = flc(not_fn(), 1)
         js = [flc(not_fn(), 2)]
         closed = serial(i, js)
-        searched = serial_search(i, js)
         u = (pulse(0, 2),)
         for x in (pulse(3, 5), pulse(2, 4), constant(0)):
-            assert searched.contains(u, x) == closed.contains(u, x)
+            assert serial_membership(i, js, u, x)[0] == closed.contains(u, x)
 
     def test_serial_membership_flags_nothing_on_success(self):
         i = scf(and_fn(2))

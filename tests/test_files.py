@@ -158,8 +158,8 @@ class TestModelDocuments:
         }
         i = model_from_doc(doc)
         assert i.kind == "flc"
-        assert i.meta["delay"] == 3
-        assert i.meta["fn"].bits() == "01"
+        assert i.delay == 3
+        assert i.fn.bits() == "01"
 
     def test_blc_document_shape(self):
         i = blc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2))
@@ -176,8 +176,8 @@ class TestModelDocuments:
         write_model_file(path, i)
         j = read_model_file(path)
         assert j.kind == "bailc"
-        assert j.meta["params"] == i.meta["params"]
-        assert j.meta["aic"] == i.meta["aic"]
+        assert j.params == i.params
+        assert j.aic == i.aic
 
     @pytest.mark.parametrize("doc", [
         {"kind": "nonsense"},

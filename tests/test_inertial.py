@@ -59,10 +59,10 @@ class TestFixedDelay:
     def test_metadata(self):
         i = flc(and_fn(2), 2)
         assert i.kind == "flc"
-        assert i.meta["delay"] == 2
-        assert i.meta["deterministic"] is True
+        assert i.delay == 2
+        assert i.deterministic is True
         u = (pulse(0, 3), pulse(1, 4))
-        lo, hi = i.meta["envelopes"](u)
+        lo, hi = i.envelopes(u)
         assert lo == hi
 
 
@@ -161,7 +161,7 @@ class TestCombinedModel:
         a = aic_params(F(1, 2), F(1, 2))
         i = bailc(ID, ID, p, a)
         assert i.kind == "bailc"
-        assert i.meta["params"] == p and i.meta["aic"] == a
+        assert i.params == p and i.aic == a
         u = (pulse(0, 3),)
         lo, hi = envelopes(ID, ID, p, u)
         assert i.contains(u, lo) == 1
@@ -199,10 +199,10 @@ class TestCombinedModel:
     def test_dwell_search_hook_narrows_the_envelopes(self):
         i = bailc(ID, ID, params(1, 1, 1, 1), aic_params(F(1, 2), F(1, 2)))
         u = (pulse(0, 3),)
-        found = i.meta["dwell_search"](u, None, None, 0)
+        found = i.dwell_search(u, None, None, 0)
         assert found is not None
         assert i.contains(u, found) == 1
-        nothing = i.meta["dwell_search"](u, constant(1), constant(0), 0)
+        nothing = i.dwell_search(u, constant(1), constant(0), 0)
         assert nothing is None
 
 
@@ -215,8 +215,8 @@ class TestComposition:
             [(ID, ID), (ID, ID)], params(1, 3, 1, 3), inner_a,
         )
         assert chain.kind == "bailc"
-        assert chain.meta["params"] == params(2, 5, 2, 5)
-        assert chain.meta["aic"] == outer_a
+        assert chain.params == params(2, 5, 2, 5)
+        assert chain.aic == outer_a
 
     def test_non_monotone_outer_propagates(self):
         with pytest.raises(MonotonyViolated):
