@@ -8,7 +8,7 @@ bit strings in that same order ("0001" is the two-input AND).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 from .errors import ArityMismatch, PreconditionViolated
 from .signals import Bit, MultiSignal, Signal, combine
@@ -144,10 +144,17 @@ def is_monotone(f: BoolFn) -> bool:
 
 
 def is_permutation_symmetric(f: BoolFn) -> bool:
-    for sigma in permutations(range(f.arity)):
-        for a in f.inputs():
-            if f(*a) != f(*(a[sigma[p]] for p in range(f.arity))):
-                return False
+    """Invariant under every permutation of the arguments.
+
+    The swaps of neighbouring arguments generate every permutation, so the
+    m - 1 of them decide it, in O(m * 2**m) table reads.
+    """
+    t = f.table
+    for p in range(f.arity - 1):
+        a = 1 << (f.arity - 1 - p)  # index bit of argument p
+        b = a >> 1  # index bit of argument p + 1
+        if any(t[i] != t[i ^ a ^ b] for i in range(len(t)) if i & a and not i & b):
+            return False
     return True
 
 

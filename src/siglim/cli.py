@@ -28,7 +28,7 @@ from .files import (
 )
 from .inertial import AicParams, Bailc, aic_violation
 from .props import GenConfig, describe, run_theorem, theorem_ids
-from .signals import Signal, Time, breakpoints, first_one_time, signal_leq
+from .signals import Signal, Time, breakpoints, first_one_time, signal_leq, values_along
 
 
 def _read_inputs(paths: list[str]) -> tuple[Signal, ...]:
@@ -158,8 +158,9 @@ def _render_ascii(names: list[str], xs: list[Signal], lo: Fraction, hi: Fraction
     width = max(len(n) for n in names + ["time"])
     cells = [format_time(t) for t in cols]
     lines = ["  ".join([f"{'time':<{width}}"] + cells)]
-    for name, x in zip(names, xs):
-        row = [f"{x.value_at(t)!s:>{len(c)}}" for t, c in zip(cols, cells)]
+    columns = values_along(xs, cols)
+    for k, name in enumerate(names):
+        row = [f"{col[k]!s:>{len(c)}}" for col, c in zip(columns, cells)]
         lines.append("  ".join([f"{name:<{width}}"] + row))
     return "\n".join(lines)
 

@@ -47,6 +47,7 @@ from .signals import (
     make_signal,
     translate,
     translate_all,
+    values_along,
 )
 
 if TYPE_CHECKING:
@@ -94,11 +95,13 @@ class SignalSet:
 
 
 def _distinct_members(
-    pool: Iterable[Signal], admits: Callable[[Signal], Bit], cap: int | None = None
+    pool: Iterable[Signal], admits: Callable[[Signal], Bit], cap: int | None = None,
+    found: Sequence[Signal] = (),
 ) -> list[Signal]:
-    """The distinct signals of pool that admits accepts, in first-seen order,
-    stopping once cap of them are found."""
-    out: dict[Signal, None] = {}
+    """found followed by the distinct signals of pool that admits accepts and
+    found lacks, in first-seen order, stopping once cap of them in all are
+    found."""
+    out = dict.fromkeys(found)
     for x in pool:
         if cap is not None and len(out) >= cap:
             break
@@ -533,14 +536,20 @@ def _grid_candidates(
     return out
 
 
-def _witness_candidates(
+def _fixed_candidates(
     j: LimitCondition, blk: MultiSignal, outer: LimitCondition, x: Signal,
-    targets: list[tuple[Signal | None, Signal | None]], deltas: set[Time],
-    budget: SearchBudget, seed: int, refined: bool, cap: int,
-) -> list[Signal]:
+    targets: list[tuple[Signal | None, Signal | None]],
+    budget: SearchBudget, seed: int, cap: int,
+) -> tuple[list[Signal], bool]:
+    """(members, final): the witness candidates for one inner stage that do
+    not depend on the refinement round.
+
+    final marks a list the grid must not extend: the stage's finite output
+    set, or members already at the cap.
+    """
     finite = j.finite_outputs(blk, seed)
     if finite is not None:
-        return list(dict.fromkeys(finite))
+        return list(dict.fromkeys(finite)), True
     raw: list[Signal] = []
     try:
         raw += j.sample(blk, budget.samples, seed)
@@ -551,8 +560,8 @@ def _witness_candidates(
         y = j.dwell_search(blk, lo, hi, seed)
         if y is not None:
             raw.append(y)
-    raw += _grid_candidates(blk, x, deltas, budget, refined)
-    return _distinct_members(raw, lambda y: j.contains(blk, y), cap)
+    members = _distinct_members(raw, lambda y: j.contains(blk, y), cap)
+    return members, len(members) >= cap
 
 
 def serial_membership(
@@ -568,6 +577,9 @@ def serial_membership(
     Returns (1, False) on success; (0, exhausted) otherwise, where exhausted
     flags that the budget cut the enumeration short, making the 0 a
     semi-decision rather than a proof of absence.
+
+    Each stage's samples, constructed candidates and dwell searches are
+    worked out once; each refinement round only extends them with its grid.
     """
     budget = budget or DEFAULT_BUDGET
     blocks = DirectProduct(tuple(js)).split(u)
@@ -575,11 +587,15 @@ def serial_membership(
     targets = _dwell_targets(i, x)
     m = len(js)
     cap = max(4, int(round(budget.max_nodes ** (1.0 / m))))
+    fixed = [_fixed_candidates(j, blk, i, x, targets, budget, seed, cap)
+             for j, blk in zip(js, blocks)]
     exhausted = False
     for attempt in range(budget.refinements + 1):
         lists = [
-            _witness_candidates(j, blk, i, x, targets, deltas, budget, seed, attempt > 0, cap)
-            for j, blk in zip(js, blocks)
+            found if final else _distinct_members(
+                _grid_candidates(blk, x, deltas, budget, attempt > 0),
+                lambda y, j=j, blk=blk: j.contains(blk, y), cap, found)
+            for j, blk, (found, final) in zip(js, blocks, fixed)
         ]
         nodes = 0
         for combo in product(*lists):
@@ -756,13 +772,9 @@ def check_constancy(
     """
     d_r, d_f = as_time(d_r), as_time(d_f)
     rising, falling = x.edges()
-    for t in rising:
-        if g(*(up.value_at(t - d_r) for up in u)) != 1:
-            return 0
-    for t in falling:
-        if f(*(up.value_at(t - d_f) for up in u)) != 0:
-            return 0
-    return 1
+    if any(g(*a) != 1 for a in values_along(u, [t - d_r for t in rising])):
+        return 0
+    return int(all(f(*a) == 0 for a in values_along(u, [t - d_f for t in falling])))
 
 
 def check_symmetry_usual(

@@ -28,6 +28,7 @@ from .signals import (
     make_signal,
     signal_leq,
     translate_all,
+    values_along,
 )
 
 
@@ -180,8 +181,7 @@ def _dwell_dfs(
         v = lo.initial
         return Signal(v) if lo.initial <= v <= hi.initial else None
     reprs = [grid[0] - 1] + list(grid)
-    lo_vals = [lo.value_at(t) for t in reprs]
-    hi_vals = [hi.value_at(t) for t in reprs]
+    bounds = values_along((lo, hi), reprs)
     n = len(reprs)
 
     def rec(idx: int, value: Bit, last_edge: Time | None,
@@ -193,8 +193,9 @@ def _dwell_dfs(
         choices = [value, 1 - value] if idx else [0, 1]
         if rng is not None and rng.random() < 0.25:
             choices.reverse()
+        lo_v, hi_v = bounds[idx]
         for v in choices:
-            if v < lo_vals[idx] or v > hi_vals[idx]:
+            if v < lo_v or v > hi_v:
                 continue
             if idx == 0:
                 out = rec(1, v, None, edges)

@@ -16,7 +16,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -78,7 +79,11 @@ class Signal:
         return tuple(t for t, _ in self.transitions)
 
     def value_at(self, t: Time | int) -> Bit:
-        """Value of the signal at time t (right-continuous convention)."""
+        """Value of the signal at time t (right-continuous convention).
+
+        A single-point query; to read signals at many sorted times, use
+        `values_along`, which walks them once.
+        """
         t = as_time(t)
         i = bisect_right(self._times, t) - 1
         return self.transitions[i][1] if i >= 0 else self.initial
@@ -188,14 +193,66 @@ def charfn(intervals: Iterable[tuple[Time | int, Time | int]]) -> Signal:
     return _canonical(0, pairs)
 
 
+_time = itemgetter(0)
+
+
+def _sweep(signals: Sequence[Signal]) -> Iterator[tuple[Time, list[Bit]]]:
+    """Walk the signals' transitions once, in time order.
+
+    Yields (t, values) once per distinct transition time t, where values are
+    the signals' values from t on; the one list is updated in place between
+    steps, so read it before advancing.  Coincident transitions fold into one
+    step.  The events are sorted on time alone and stably: Timsort finds each
+    signal's transitions as one sorted run and merges the runs, so the walk
+    costs a few comparisons per transition.
+    """
+    values = [x.initial for x in signals]
+    events = [(t, k, v) for k, x in enumerate(signals) for t, v in x.transitions]
+    if not events:
+        return
+    events.sort(key=_time)
+    prev = events[0][0]
+    for t, k, v in events:
+        if t != prev:
+            yield prev, values
+            prev = t
+        values[k] = v
+    yield prev, values
+
+
 def combine(op: Callable[..., int], *signals: Signal) -> Signal:
-    """Pointwise combination of signals under a Boolean operation."""
+    """Pointwise combination of signals under a Boolean operation.
+
+    op runs once per distinct transition time; the cost is linear in the
+    total number of transitions.
+    """
     if not signals:
         raise ArityMismatch("combine needs at least one signal")
-    times = sorted({t for x in signals for t in x._times})
-    initial = _as_bit(op(*(x.initial for x in signals)))
-    pairs = [(t, _as_bit(op(*(x.value_at(t) for x in signals)))) for t in times]
-    return _canonical(initial, pairs)
+    cur = initial = _as_bit(op(*(x.initial for x in signals)))
+    out: list[tuple[Time, Bit]] = []
+    for t, values in _sweep(signals):
+        v = _as_bit(op(*values))
+        if v != cur:
+            out.append((t, v))
+            cur = v
+    return Signal(initial, tuple(out))
+
+
+def values_along(u: Sequence[Signal], times: Iterable[Time]) -> list[tuple[Bit, ...]]:
+    """`values_at(u, t)` for each of the ascending times, in one walk.
+
+    The cost is linear in the number of times plus transitions.
+    """
+    steps = _sweep(u)
+    now = tuple(x.initial for x in u)
+    step = next(steps, None)
+    out: list[tuple[Bit, ...]] = []
+    for t in times:
+        while step is not None and step[0] <= t:
+            now = tuple(step[1])
+            step = next(steps, None)
+        out.append(now)
+    return out
 
 
 _UNARY = {"not": lambda a: 1 - a}
@@ -306,8 +363,14 @@ def _from_intervals(spans: Sequence[Interval]) -> Signal:
 
 
 def signal_leq(x: Signal, y: Signal) -> bool:
-    """True iff x(t) <= y(t) for every t."""
-    return combine(lambda a, b: int(a <= b), x, y) == constant(1)
+    """True iff x(t) <= y(t) for every t.
+
+    One walk over both signals' transitions that stops at the first time
+    where x exceeds y; no signal is built.
+    """
+    if x.initial > y.initial:
+        return False
+    return all(a <= b for _, (a, b) in _sweep((x, y)))
 
 
 def is_constant(x: Signal) -> bool:
@@ -316,7 +379,7 @@ def is_constant(x: Signal) -> bool:
 
 def breakpoints(*signals: Signal) -> list[Time]:
     """Sorted union of all transition times of the given signals."""
-    return sorted({t for x in signals for t in x._times})
+    return [t for t, _ in _sweep(signals)]
 
 
 def first_one_time(x: Signal) -> Time | None:

@@ -1,5 +1,7 @@
 """Truth tables, composition and the derived function properties."""
 
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from siglim import (
     PreconditionViolated,
     and_fn,
     apply_fn,
+    blc_symmetric_usual,
     const_fn,
     fn_compose,
     fn_from_bits,
@@ -112,6 +115,23 @@ class TestProps:
         assert is_permutation_symmetric(and_fn(2))
         assert is_permutation_symmetric(xor_fn())
         assert not is_permutation_symmetric(proj_fn(2, 0))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_symmetry_matches_every_permutation(self, m):
+        for bits in product((0, 1), repeat=1 << m):
+            f = BoolFn(m, bits)
+            brute = all(
+                f(*a) == f(*(a[q] for q in sigma))
+                for sigma in permutations(range(m))
+                for a in f.inputs()
+            )
+            assert is_permutation_symmetric(f) == brute
+
+    def test_symmetry_at_arity_eight_is_decided(self):
+        # 8! = 40320 permutations would take about a minute; the 7
+        # neighbour swaps take milliseconds
+        assert blc_symmetric_usual(and_fn(8), or_fn(8)) == 1
+        assert blc_symmetric_usual(proj_fn(8, 7), or_fn(8)) == 0
 
     def test_and_or_are_dual(self):
         props = fn_props(and_fn(2), or_fn(2))

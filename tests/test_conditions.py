@@ -12,6 +12,7 @@ from siglim import (
     BlcParams,
     EmptyMeet,
     PreconditionViolated,
+    SearchBudget,
     aic_params,
     aic_set,
     and_fn,
@@ -49,6 +50,7 @@ from siglim import (
     sol_contains,
     translate,
 )
+from siglim import inertial
 from siglim.errors import BlockArityMismatch
 from strategies import boolfn_pairs_leq, multisignals, signals
 
@@ -168,6 +170,18 @@ class TestDirectProduct:
         assert second.contains(constant(1)) == 0
 
 
+def _composition_gap():
+    """Law 6.6 case 129 at seed 42, the instance of scripts/composition_gap.py:
+    (outer, inner, u, x) with x admitted by no intermediate signal."""
+    p, a = params(0, F(9, 5), F(3, 4), F(9, 5)), aic_params(0, F(21, 32))
+    p2, a2 = params(F(13, 8), F(163, 56), 2, 2), aic_params(F(29, 64), F(87, 64))
+    outer = bailc(identity_fn(), identity_fn(), p, a)
+    inner = bailc(const_fn(1, 0), identity_fn(), p2, a2)
+    u = (make_signal(1, [(5, 0), (F(15, 2), 1), (F(41, 5), 0), (F(141, 8), 1)]),)
+    x = make_signal(1, [(12, 0), (F(747, 40), 1)])
+    return outer, inner, u, x
+
+
 class TestSerialDispatch:
     def test_fixed_delays_collapse(self):
         chain = serial(flc(not_fn(), 1), [flc(not_fn(), 2)])
@@ -186,22 +200,33 @@ class TestSerialDispatch:
         assert chain.params == BlcParams(2, 5, 2, 5)
 
     def test_dwell_chain_with_inner_dwell_is_searched(self):
-        # law 6.6 case 129 at seed 42, the instance of scripts/composition_gap.py:
         # the summed form accepts (u, x), no intermediate signal does
-        F = Fraction
-        p, a = params(0, F(9, 5), F(3, 4), F(9, 5)), aic_params(0, F(21, 32))
-        p2, a2 = params(F(13, 8), F(163, 56), 2, 2), aic_params(F(29, 64), F(87, 64))
-        zero = const_fn(1, 0)
-        outer = bailc(identity_fn(), identity_fn(), p, a)
-        inner = bailc(zero, identity_fn(), p2, a2)
-        u = (make_signal(1, [(5, 0), (F(15, 2), 1), (F(41, 5), 0), (F(141, 8), 1)]),)
-        x = make_signal(1, [(12, 0), (F(747, 40), 1)])
-        summed = bailc_compose(identity_fn(), identity_fn(), p, a,
-                               [(zero, identity_fn())], p2, a2)
+        outer, inner, u, x = _composition_gap()
+        summed = bailc_compose(identity_fn(), identity_fn(), outer.params, outer.aic,
+                               [(inner.f, inner.g)], inner.params, inner.aic)
         assert summed.contains(u, x) == 1
         chain = serial(outer, [inner])
         assert chain.kind == "serial"
         assert chain.membership(u, x)[0] == 0
+
+    def test_refinement_rounds_reuse_the_dwell_searches(self, monkeypatch):
+        # only the grid changes between rounds: the inner stage's five
+        # samples and four dwell targets are searched once, not once per round
+        outer, inner, u, x = _composition_gap()
+        calls = []
+        real = inertial.search_between
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inertial, "search_between", counting)
+        counts = []
+        for rounds in (0, 1, 3):
+            calls.clear()
+            serial_membership(outer, [inner], u, x, SearchBudget(refinements=rounds))
+            counts.append(len(calls))
+        assert counts == [9, 9, 9]
 
     def test_zero_inner_dwell_chain_sums_parameters(self):
         outer = bailc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2), AicParams(1, 1))

@@ -1,5 +1,6 @@
 """Signal algebra: worked examples, canonical invariants, window oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,11 +30,12 @@ from siglim import (
     pulse,
     signal_leq,
     translate,
+    values_along,
     window_all,
     window_any,
 )
 from siglim.signals import _dilate, _erode
-from strategies import nonneg_rationals, rationals, signals
+from strategies import boolfns, nonneg_rationals, rationals, signals
 
 F = Fraction
 
@@ -214,3 +216,120 @@ class TestCanonicality:
         bps = breakpoints(x, y)
         assert bps == sorted(bps)
         assert set(bps) == {t for t, _ in x.transitions} | {t for t, _ in y.transitions}
+
+
+@st.composite
+def shared_time_signals(draw, min_size: int = 1, max_size: int = 4) -> list[Signal]:
+    """Signals whose transitions all come from one small pool of times, so
+    that they often switch together."""
+    pool = sorted(set(draw(st.lists(rationals(max_den=4), min_size=1, max_size=8))))
+    out = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        initial = draw(st.integers(0, 1))
+        times = [t for t in pool if draw(st.booleans())]
+        out.append(make_signal(initial, [(t, (initial + k + 1) % 2) for k, t in enumerate(times)]))
+    return out
+
+
+def probe_times(xs: list[Signal]) -> list[Fraction]:
+    """Every breakpoint, every midpoint between two, and one point beyond
+    each end."""
+    bps = breakpoints(*xs)
+    if not bps:
+        return [F(0)]
+    mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+    return sorted([bps[0] - 1, bps[-1] + 1] + bps + mids)
+
+
+class TestSweep:
+    """combine, signal_leq, breakpoints and values_along share one merge walk."""
+
+    @given(st.data())
+    def test_combine_agrees_with_value_at(self, data):
+        xs = data.draw(shared_time_signals())
+        f = data.draw(boolfns(len(xs)))
+        out = combine(f, *xs)
+        assert_canonical(out)
+        for t in probe_times(xs):
+            assert out.value_at(t) == f(*(x.value_at(t) for x in xs))
+
+    @given(shared_time_signals(), st.lists(rationals(max_den=4), max_size=6))
+    def test_values_along_agrees_with_value_at(self, xs, extra):
+        times = sorted(probe_times(xs) + extra + extra)
+        assert values_along(xs, times) == [tuple(x.value_at(t) for x in xs) for t in times]
+
+    @given(shared_time_signals(2, 2))
+    def test_leq_agrees_with_combine(self, xy):
+        x, y = xy
+        assert signal_leq(x, y) == (combine(lambda a, b: int(a <= b), x, y) == constant(1))
+
+    @given(shared_time_signals(2, 2))
+    def test_leq_with_an_early_violation(self, xy):
+        # x exceeds y on [-20, -19), before every other event of either signal
+        x, y = pulse(-20, -19) | xy[0], xy[1] & ~pulse(-20, -19)
+        assert not signal_leq(x, y)
+        assert combine(lambda a, b: int(a <= b), x, y) != constant(1)
+
+    def test_leq_worked_examples(self):
+        assert signal_leq(pulse(1, 2), pulse(0, 3))
+        assert not signal_leq(pulse(0, 3), pulse(1, 2))
+        assert not signal_leq(constant(1), pulse(0, 1))
+        # equal at every shared time, violated only after the last of them
+        assert not signal_leq(make_signal(0, [(1, 1), (2, 0), (3, 1)]), pulse(1, 2))
+
+
+class CountingTime(Fraction):
+    """A time that counts the comparisons made on it."""
+
+    compared = 0
+    __hash__ = Fraction.__hash__
+
+    def __lt__(self, other):
+        CountingTime.compared += 1
+        return Fraction.__lt__(self, other)
+
+    def __le__(self, other):
+        CountingTime.compared += 1
+        return Fraction.__le__(self, other)
+
+    def __gt__(self, other):
+        CountingTime.compared += 1
+        return Fraction.__gt__(self, other)
+
+    def __ge__(self, other):
+        CountingTime.compared += 1
+        return Fraction.__ge__(self, other)
+
+    def __eq__(self, other):
+        CountingTime.compared += 1
+        return Fraction.__eq__(self, other)
+
+
+class TestCost:
+    """Comparison counts, not clock time: the sweep is linear in the number of
+    transitions, where probing every breakpoint by bisection is not."""
+
+    N = 2000
+
+    @staticmethod
+    def long_signal(seed: int, n: int) -> Signal:
+        rng = random.Random(seed)
+        t, pairs = 0, []
+        for k in range(n):
+            t += rng.randint(1, 3)  # gaps this small make many shared times
+            pairs.append((CountingTime(t), (k + 1) % 2))
+        return Signal(0, tuple(pairs))
+
+    def compared(self, fn) -> int:
+        CountingTime.compared = 0
+        fn()
+        return CountingTime.compared
+
+    def test_operations_are_linear(self):
+        x, y = self.long_signal(1, self.N), self.long_signal(2, self.N)
+        assert self.compared(lambda: x & y) <= 10 * self.N
+        z = x | y
+        assert self.compared(lambda: signal_leq(x, z)) <= 10 * self.N
+        assert self.compared(lambda: breakpoints(x, y)) <= 10 * self.N
+        times = breakpoints(x, y)
+        assert self.compared(lambda: values_along((x, y), times)) <= 10 * self.N
