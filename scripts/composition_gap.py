@@ -21,8 +21,10 @@ This script replays one concrete instance (props registry id 6.6, case
 129, found by the randomized suite) and verifies each step of the
 argument mechanically.  Replay inside the suite with:
 
-    python3 scripts/run_theorem_suite.py --replay 6.6 129
-    python3 scripts/run_theorem_suite.py --seed 2 --replay 6.6 84
+    siglim props --replay 6.6 129
+    siglim props --seed 2 --replay 6.6 84
+
+(`python3 -m siglim` in place of `siglim` works without the install.)
 """
 import sys
 from fractions import Fraction as F

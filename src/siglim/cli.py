@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .conditions import LimitCondition, closed_form
-from .errors import SiglimError
+from .errors import PreconditionViolated, SiglimError
 from .files import (
     format_time,
     model_from_doc,
@@ -27,7 +27,7 @@ from .files import (
     write_signal_file,
 )
 from .inertial import AicParams, Bailc, aic_violation
-from .props import GenConfig, describe, run_theorem, theorem_ids
+from .props import GenConfig, describe, replay_case, run_theorem, theorem_ids
 from .signals import Signal, Time, breakpoints, first_one_time, signal_leq, values_along
 
 
@@ -125,6 +125,13 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 def cmd_props(args: argparse.Namespace) -> int:
     cfg = GenConfig(seed=args.seed, cases=args.cases)
+    if args.replay is not None:
+        tid, case = args.replay
+        if not case.isdigit():
+            raise PreconditionViolated(f"case must be a non-negative integer, got {case!r}")
+        msg = replay_case(tid, cfg, int(case))
+        print(f"{tid} case {case}: {'pass' if msg is None else msg}")
+        return 0 if msg is None else 1
     ids = [args.only] if args.only else list(theorem_ids())
     if args.only:
         describe(args.only)
@@ -166,12 +173,17 @@ def _render_ascii(names: list[str], xs: list[Signal], lo: Fraction, hi: Fraction
 
 
 def _render_vcd(names: list[str], xs: list[Signal], lo: Fraction, hi: Fraction) -> str:
-    times = sorted({t for x in xs for t in (p for p, _ in x.transitions) if lo <= t <= hi})
+    idents = [chr(33 + k) for k in range(len(xs))]
+    changes: dict[Time, list[str]] = {}
+    for x, ident in zip(xs, idents):
+        for t, v in x.transitions:
+            if lo <= t <= hi:
+                changes.setdefault(t, []).append(f"{v}{ident}")
+    times = sorted(changes)
     scale = 1
     for t in times:
         scale = scale * t.denominator // math.gcd(scale, t.denominator)
-    ticks = [t * scale for t in times]
-    offset = -min([tk for tk in ticks if tk < 0], default=0)
+    offset = -min(times[0] * scale, 0) if times else 0
     out = []
     if scale == 1:
         out.append("$timescale 1 s $end")
@@ -181,7 +193,6 @@ def _render_vcd(names: list[str], xs: list[Signal], lo: Fraction, hi: Fraction) 
     if offset:
         out.append(f"$comment ticks shifted by +{offset} $end")
     out.append("$scope module signals $end")
-    idents = [chr(33 + k) for k in range(len(xs))]
     for name, ident in zip(names, idents):
         out.append(f"$var wire 1 {ident} {name} $end")
     out += ["$upscope $end", "$enddefinitions $end", "$dumpvars"]
@@ -190,9 +201,7 @@ def _render_vcd(names: list[str], xs: list[Signal], lo: Fraction, hi: Fraction) 
     out.append("$end")
     for t in times:
         out.append(f"#{t * scale + offset}")
-        for x, ident in zip(xs, idents):
-            if t in dict(x.transitions):
-                out.append(f"{dict(x.transitions)[t]}{ident}")
+        out += changes[t]
     return "\n".join(out) + "\n"
 
 
@@ -249,6 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cases", type=int, default=500)
     p.add_argument("--only", default=None, metavar="ID", help="run a single check")
+    p.add_argument("--replay", nargs=2, default=None, metavar=("ID", "CASE"),
+                   help="rerun one case of one check and print its message")
     p.set_defaults(run=cmd_props)
 
     p = sub.add_parser("render", help="ASCII waveform table, optionally a VCD dump")
@@ -274,3 +285,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:  # pragma: no cover
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

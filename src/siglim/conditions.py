@@ -52,7 +52,6 @@ from .signals import (
 
 if TYPE_CHECKING:
     from .bounded import BlcParams
-    from .inertial import AicParams
 
 
 @dataclass(frozen=True)
@@ -73,25 +72,21 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass(frozen=True, eq=False)
-class SignalSet:
-    """A set of signals given by a membership predicate and a sampler.
+class SignalSet(ABC):
+    """A set of signals, given by a membership test and a seeded sampler.
 
-    `dwell` is set on the dwell-time sets of `inertial.aic_set`, whose
-    members a witness search can construct directly.
+    `between` builds a member lying between two envelopes; sets that cannot
+    build one answer None.
     """
 
-    description: str
-    kind: str
-    _contains: Callable[[Signal], Bit]
-    _sample: Callable[[int, int], list[Signal]]
-    dwell: AicParams | None = None
+    @abstractmethod
+    def contains(self, x: Signal) -> Bit: ...
 
-    def contains(self, x: Signal) -> Bit:
-        return self._contains(x)
+    @abstractmethod
+    def sample(self, count: int = 3, seed: int = 0) -> list[Signal]: ...
 
-    def sample(self, count: int = 3, seed: int = 0) -> list[Signal]:
-        return self._sample(count, seed)
+    def between(self, lo: Signal, hi: Signal, budget: SearchBudget, seed: int) -> Signal | None:
+        return None
 
 
 def _distinct_members(
@@ -284,6 +279,8 @@ class Meet(LimitCondition):
     """Intersection of models sharing one bound pair, optionally restricted
     to the outputs inside a signal set.
 
+    When the parts' samples fall short, the signal set is asked for a member
+    between the first part's envelopes, kept only if the meet contains it.
     Non-emptiness is checked lazily: sampling raises EmptyMeet when no common
     witness is found within the budget.
     """
@@ -304,13 +301,10 @@ class Meet(LimitCondition):
                 pool += part.sample(u, self.budget.samples, seed + s)
         pool += [constant(0), constant(1)]
         out = _distinct_members(pool, lambda x: self._contains(u, x))
-        i, v = self.parts[0], self.within
-        if len(out) < count and v is not None and v.dwell is not None \
-                and i.kind in ("blc", "bailc"):
-            from .inertial import bailc_witness_search
-
-            y = bailc_witness_search(i.f, i.g, i.params, v.dwell, u, self.budget, seed=seed)
-            if y is not None and y not in out:
+        v = self.within
+        if len(out) < count and v is not None and (env := self.parts[0].envelopes(u)):
+            y = v.between(*env, self.budget, seed)
+            if y is not None and y not in out and self._contains(u, y):
                 out.append(y)
         if not out:
             raise EmptyMeet("no witness inside the signal set found within budget"
@@ -419,17 +413,22 @@ class DirectProduct:
             pos += j.input_arity
         return blocks
 
-    def __call__(self, u: MultiSignal) -> list[SignalSet]:
-        blocks = self.split(tuple(u))
-        return [
-            SignalSet(
-                description=f"component {j.kind} on its block",
-                kind="product",
-                _contains=lambda x, j=j, blk=blk: j.contains(blk, x),
-                _sample=lambda count, seed, j=j, blk=blk: j.sample(blk, count, seed),
-            )
-            for j, blk in zip(self.components, blocks)
-        ]
+    def __call__(self, u: MultiSignal) -> list[BlockOutputs]:
+        return [BlockOutputs(j, blk) for j, blk in zip(self.components, self.split(tuple(u)))]
+
+
+@dataclass(frozen=True)
+class BlockOutputs(SignalSet):
+    """The admissible outputs of one product component for its input block."""
+
+    model: LimitCondition
+    block: MultiSignal
+
+    def contains(self, x: Signal) -> Bit:
+        return self.model.contains(self.block, x)
+
+    def sample(self, count: int = 3, seed: int = 0) -> list[Signal]:
+        return self.model.sample(self.block, count, seed)
 
 
 def direct_product(components: Sequence[LimitCondition]) -> DirectProduct:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boolfn import BoolFn, apply_fn
-from .bounded import Blc, BlcParams, blc_compose, blc_valid, envelopes
+from .bounded import Blc, BlcParams, blc_compose, blc_valid
 from .conditions import DEFAULT_BUDGET, LimitCondition, SearchBudget, SignalSet, _rng
 from .errors import EmptyBailc, InvalidBlc, NegativeDelay, PreconditionViolated
 from .signals import (
@@ -109,12 +109,18 @@ def aic_contains(x: Signal, a: AicParams) -> Bit:
     return int(aic_violation(x, a) is None)
 
 
-def aic_set(a: AicParams) -> SignalSet:
-    """The set of signals whose runs respect the dwell times."""
+@dataclass(frozen=True)
+class AicSet(SignalSet):
+    """The set of signals whose runs respect the dwell times a."""
 
-    def sample(count: int, seed: int) -> list[Signal]:
+    a: AicParams
+
+    def contains(self, x: Signal) -> Bit:
+        return aic_contains(x, self.a)
+
+    def sample(self, count: int = 3, seed: int = 0) -> list[Signal]:
         rng = _rng(seed, "aic")
-        floor = max(a.delta_r, a.delta_f)
+        floor = max(self.a.delta_r, self.a.delta_f)
         out: list[Signal] = []
         for _ in range(count):
             t = Fraction(rng.randint(-8, 8), 2)
@@ -128,13 +134,13 @@ def aic_set(a: AicParams) -> SignalSet:
             out.append(x)
         return out
 
-    return SignalSet(
-        description=f"signals with dwell > ({a.delta_r}, {a.delta_f})",
-        kind="aic",
-        _contains=lambda x: aic_contains(x, a),
-        _sample=sample,
-        dwell=a,
-    )
+    def between(self, lo: Signal, hi: Signal, budget: SearchBudget, seed: int) -> Signal | None:
+        return search_between(lo, hi, self.a, budget, seed)
+
+
+def aic_set(a: AicParams) -> AicSet:
+    """The set of signals whose runs respect the dwell times."""
+    return AicSet(a)
 
 
 def bailc_nonempty(f: BoolFn, g: BoolFn, p: BlcParams, a: AicParams) -> Bit:
@@ -254,19 +260,6 @@ def search_between(
                 return x
             raise AssertionError("witness construction produced an invalid signal")
     return None
-
-
-def bailc_witness_search(
-    f: BoolFn, g: BoolFn, p: BlcParams, a: AicParams, u: MultiSignal,
-    budget: SearchBudget | None = None, seed: int = 0,
-) -> Signal | None:
-    """Member of the bounded-plus-inertial set for input u, or None.
-
-    A None is a semi-decision: the grid search ran out of candidates within
-    its budget after one refinement round.
-    """
-    lo, hi = envelopes(f, g, p, u)
-    return search_between(lo, hi, a, budget, seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -373,10 +373,6 @@ def signal_leq(x: Signal, y: Signal) -> bool:
     return all(a <= b for _, (a, b) in _sweep((x, y)))
 
 
-def is_constant(x: Signal) -> bool:
-    return not x.transitions
-
-
 def breakpoints(*signals: Signal) -> list[Time]:
     """Sorted union of all transition times of the given signals."""
     return [t for t, _ in _sweep(signals)]

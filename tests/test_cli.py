@@ -1,7 +1,12 @@
 """Command-line contract: worked examples for every subcommand and exit code."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +36,7 @@ from siglim.cli import main
 from siglim.props import register_check, unregister_check
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -142,6 +148,16 @@ class TestCheck:
         cand = ws.signal("x.json", pulse(1, 3))
         assert main(["check", "--model", model, "--input", inp,
                      "--candidate", cand, "--aic", "1/2", "1/2"]) == 0
+
+    def test_dwell_model_reports_the_early_edge(self, ws, capsys):
+        # inside both envelopes, but the 0-run from 5/2 to 3 breaks the dwell
+        model = ws.model("bailc.json", bailc(identity_fn(), identity_fn(),
+                                             BlcParams(2, 3, 2, 3), AicParams(1, 1)))
+        inp = ws.signal("u.json", pulse(0, 6))
+        cand = ws.signal("x.json", make_signal(0, [(2, 1), (F(5, 2), 0), (3, 1), (7, 0)]))
+        rc = main(["check", "--model", model, "--input", inp, "--candidate", cand])
+        assert rc == 1
+        assert capsys.readouterr().out.strip() == "violation at t=5/2"
 
     def test_nothing_to_check_is_an_error(self, ws, capsys):
         cand = ws.signal("x.json", pulse(0, 1))
@@ -263,6 +279,42 @@ class TestProps:
         assert blob["failures"] == [f"case {k}: always fails" for k in range(4)]
 
 
+    def test_replay_a_failing_case(self, capsys):
+        assert main(["props", "--replay", "6.6", "129"]) == 1
+        assert capsys.readouterr().out.startswith(
+            "6.6 case 129: closed form 1 vs search 0 (exhausted=False): ")
+
+    def test_replay_a_passing_case(self, capsys):
+        assert main(["props", "--replay", "4.8", "0"]) == 0
+        assert capsys.readouterr().out == "4.8 case 0: pass\n"
+
+    def test_replay_rejects_unknown_ids_and_bad_cases(self, capsys):
+        assert main(["props", "--replay", "9.99", "0"]) == 2
+        assert "UnknownTheorem" in capsys.readouterr().err
+        assert main(["props", "--replay", "4.8", "-1"]) == 2
+        assert "PreconditionViolated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["siglim", "siglim.cli"])
+class TestModuleEntry:
+    """`python3 -m siglim` (or `-m siglim.cli`) runs the command line."""
+
+    def _run(self, module, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_replay_prints_the_failure_and_exits_1(self, module):
+        done = self._run(module, "props", "--replay", "6.6", "129")
+        assert done.returncode == 1, done.stderr
+        assert done.stdout.startswith("6.6 case 129: closed form 1 vs search 0 ")
+
+    def test_passing_replay_exits_0(self, module):
+        done = self._run(module, "props", "--replay", "4.8", "0")
+        assert (done.returncode, done.stdout) == (0, "4.8 case 0: pass\n")
+
+
 class TestRender:
     def test_ascii_table(self, ws, capsys):
         inp = ws.signal("chi05.json", pulse(0, 5))
@@ -290,6 +342,39 @@ class TestRender:
         text = open(vcd).read()
         assert "$timescale 1 ns $end" in text
         assert "$comment one tick is 1/2 s $end" in text
+
+    def test_vcd_range_below_zero_shifts_the_ticks(self, ws, capsys):
+        a = ws.signal("a.json", pulse(F(-3, 2), 1))
+        b = ws.signal("b.json", make_signal(1, [(F(-1, 2), 0), (1, 1), (4, 0)]))
+        vcd = ws.path("dump.vcd")
+        assert main(["render", a, b, "--from", "-2", "--to", "3", "--vcd", vcd]) == 0
+        assert open(vcd).read() == "\n".join([
+            "$timescale 1 ns $end",
+            "$comment one tick is 1/2 s $end",
+            "$comment ticks shifted by +3 $end",
+            "$scope module signals $end",
+            "$var wire 1 ! a $end",
+            '$var wire 1 " b $end',
+            "$upscope $end",
+            "$enddefinitions $end",
+            "$dumpvars", "0!", '1"', "$end",
+            "#0", "1!",
+            "#2", '0"',
+            "#5", "0!", '1"',
+        ]) + "\n"
+
+    def test_vcd_of_long_signals_is_fast(self, ws, capsys):
+        # one walk over the transitions: building a time-to-value map per
+        # (time, signal) pair took about 68 s on these two signals
+        n = 4000
+        a = ws.signal("a.json", make_signal(0, [(F(k, 3), (k + 1) % 2) for k in range(n)]))
+        b = ws.signal("b.json", make_signal(1, [(F(2 * k + 1, 7), k % 2) for k in range(n)]))
+        vcd = ws.path("dump.vcd")
+        start = time.perf_counter()
+        assert main(["render", a, b, "--from", "0", "--to", str(n), "--vcd", vcd]) == 0
+        assert time.perf_counter() - start < 10
+        lines = open(vcd).read().splitlines()
+        assert sum(line[0] in "01" for line in lines[lines.index("$end") + 1:]) == 2 * n
 
     def test_empty_range_rejected(self, ws, capsys):
         inp = ws.signal("a.json", pulse(0, 1))

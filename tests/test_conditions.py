@@ -46,6 +46,7 @@ from siglim import (
     scf,
     serial,
     serial_membership,
+    signal_leq,
     sol,
     sol_contains,
     translate,
@@ -136,6 +137,24 @@ class TestMeetJoinRestrict:
         assert i.contains(u, candidate) == 1
         assert slow.contains(u, candidate) == 0
 
+    def test_meet_set_samples_are_members(self):
+        # the dwell set's member between the envelopes breaks the part's own
+        # dwell (a 1-run of exactly delta_r); the sampler must not return it
+        i = bailc(identity_fn(), identity_fn(), params(1, 2, 1, 2), aic_params(F(3, 2), F(1, 2)))
+        m = lc_meet_set(i, aic_set(aic_params(0, 0)))
+        u = (make_signal(0, [(0, 1), (F(5, 2), 0), (3, 1), (F(7, 2), 0), (8, 1), (F(17, 2), 0)]),)
+        xs = m.sample(u, 10, 1)
+        assert xs and all(m.contains(u, x) == 1 for x in xs)
+        assert make_signal(0, [(2, 1), (F(7, 2), 0), (9, 1), (F(21, 2), 0)]) not in xs
+
+    def test_dwell_set_builds_members_between_envelopes(self):
+        i = blc(identity_fn(), identity_fn(), BlcParams(1, 1, 1, 1))
+        a = AicParams(1, 1)
+        lo, hi = i.envelopes((pulse(0, 3),))
+        y = aic_set(a).between(lo, hi, SearchBudget(), 0)
+        assert y is not None and aic_set(a).contains(y) == 1
+        assert signal_leq(lo, y) and signal_leq(y, hi)
+
     def test_restrict_domain(self):
         i = mc(1)
         gate = aic_set(AicParams(2, 2))
@@ -168,6 +187,16 @@ class TestDirectProduct:
         assert first.contains(constant(0)) == 0
         assert second.contains(constant(0)) == 1
         assert second.contains(constant(1)) == 0
+
+    def test_component_sets_sample_their_block(self):
+        i = flc(not_fn(), 1)
+        prod = direct_product([mc(2), i])
+        u = (pulse(0, 1), pulse(1, 2), pulse(2, 3))
+        first, second = prod(u)
+        assert (second.model, second.block) == (i, (u[2],))
+        assert second.sample(2, 0) == i.sample((u[2],), 2, 0)
+        assert second.between(constant(0), constant(1), SearchBudget(), 0) is None
+        assert all(first.contains(x) == 1 for x in first.sample(3, 0))
 
 
 def _composition_gap():
@@ -244,6 +273,21 @@ class TestSerialDispatch:
         expected = translate(u[0], 3) & translate(u[1], 4)
         assert chain.contains(u, expected) == 1
         assert chain.contains(u, constant(1)) == 0
+
+    def test_outer_without_adjoints_reads_the_inner_envelopes(self):
+        # fixed-delay and eventual-value outers have no window adjoints: the
+        # witnesses come from the inner stage's envelopes
+        inner = blc(identity_fn(), identity_fn(), params(1, 2, 1, 2))
+        u = (pulse(0, 3),)
+        lo, hi = inner.envelopes(u)
+        k = serial(flc(identity_fn(), 1), [inner])
+        assert k.kind == "serial"
+        assert k.membership(u, translate(lo, 1)) == (1, False)
+        assert k.membership(u, translate(hi, 1)) == (1, False)
+        assert k.membership(u, constant(1)) == (0, False)
+        k = serial(sol(identity_fn(), identity_fn()), [inner])
+        assert k.membership(u, constant(0)) == (1, False)
+        assert k.membership(u, constant(1)) == (0, False)
 
     def test_search_path_membership(self):
         chain = serial(scf(identity_fn()), [sc()])

@@ -21,7 +21,6 @@ from siglim import (
     bailc,
     bailc_compose,
     bailc_nonempty,
-    bailc_witness_search,
     constant,
     envelopes,
     flc,
@@ -179,9 +178,9 @@ class TestCombinedModel:
         p = params(1, 1, 1, 1)
         a = aic_params(1, 1)
         u = (pulse(0, 3),)
-        y = bailc_witness_search(ID, ID, p, a, u)
-        assert y is not None
         lo, hi = envelopes(ID, ID, p, u)
+        y = search_between(lo, hi, a)
+        assert y is not None
         assert signal_leq(lo, y) and signal_leq(y, hi)
         assert aic_contains(y, a) == 1
 

@@ -1,19 +1,22 @@
 """The theorem suite itself: registry shape, green runs, self-diagnosis."""
 
+import random
+
 import pytest
 
 from siglim import (
     DEFAULT_CONFIG,
+    AicParams,
     GenConfig,
     PreconditionViolated,
     UnknownTheorem,
     describe,
     replay_case,
-    run_all,
     run_theorem,
     theorem_ids,
 )
-from siglim.props import register_check, unregister_check
+from siglim.cli import main
+from siglim.props import _draw_dwell_chain, register_check, unregister_check
 
 EXPECTED_IDS = (
     "1.9", "2.4a", "2.4b", "2.4c",
@@ -51,11 +54,11 @@ class TestGreenRun:
         assert report.failures == [], report.failures[:3]
         assert report.status == "pass"
 
-    def test_run_all_covers_the_registry(self):
-        tiny = GenConfig(seed=7, cases=2)
-        reports = run_all(tiny)
-        assert [r.theorem_id for r in reports] == list(EXPECTED_IDS)
-        assert all(r.status == "pass" for r in reports)
+    def test_props_command_covers_the_registry(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["props", "--seed", "7", "--cases", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"{tid} 2 pass" for tid in EXPECTED_IDS]
 
 
 class TestDeterminism:
@@ -68,6 +71,26 @@ class TestDeterminism:
         a = run_theorem("4.5", GenConfig(seed=9, cases=10))
         b = run_theorem("4.5", GenConfig(seed=9, cases=10))
         assert a.failures == b.failures and a.cases_run == b.cases_run
+
+
+class TestDwellChainDraw:
+    def test_zero_inner_dwell_replaces_only_the_inner_dwell(self):
+        # law 6.6s zeroes the inner dwell after drawing it, so the rest of
+        # the instance and every later draw are those of law 6.6
+        drawn = 0
+        for case in range(12):
+            r1, r2 = random.Random(f"42:6.6:{case}"), random.Random(f"42:6.6:{case}")
+            c = _draw_dwell_chain(DEFAULT_CONFIG, r1)
+            z = _draw_dwell_chain(DEFAULT_CONFIG, r2, zero_inner=True)
+            assert r1.random() == r2.random()
+            if isinstance(c, str):
+                continue
+            drawn += 1
+            assert z.a2 == AicParams(0, 0)
+            assert all(j.aic == AicParams(0, 0) for j in z.inners)
+            assert (z.u, z.x, z.seed) == (c.u, c.x, c.seed)
+            assert z.composed.params == c.composed.params
+        assert drawn >= 10
 
 
 class TestSelfDiagnosis:
