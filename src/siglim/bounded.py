@@ -13,6 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from typing import Callable
 
 from .boolfn import BoolFn, apply_fn, fn_compose, fn_leq, fn_props, is_monotone
 from .conditions import LimitCondition, _rng
@@ -111,20 +112,24 @@ class Blc(LimitCondition):
         p = self.params
         return {p.d_r, p.d_r - p.m_r, p.d_f, p.d_f - p.m_f}
 
-    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
+    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
         lo, hi = self.envelopes(u)
-        return int(signal_leq(lo, x) and signal_leq(x, hi))
+        return lambda x: int(signal_leq(lo, x) and signal_leq(x, hi))
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        lo, hi = self.envelopes(u)
-        out = [lo, hi]
-        rng = _rng(seed, "blc")
-        pool = breakpoints(lo, hi) or [Fraction(0)]
-        while len(out) < count + 2:
-            times = sorted(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
-            r = make_signal(rng.randint(0, 1), [(t, rng.randint(0, 1)) for t in times])
-            out.append(lo | (r & hi))
-        return list(dict.fromkeys(out))[: max(count, 1)]
+        return _window_samples(*self.envelopes(u), count, seed)
+
+
+def _window_samples(lo: Signal, hi: Signal, count: int, seed: int) -> list[Signal]:
+    """The envelopes lo and hi, then seeded signals clamped between them."""
+    out = [lo, hi]
+    rng = _rng(seed, "blc")
+    pool = breakpoints(lo, hi) or [Fraction(0)]
+    while len(out) < count + 2:
+        times = sorted(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+        r = make_signal(rng.randint(0, 1), [(t, rng.randint(0, 1)) for t in times])
+        out.append(lo | (r & hi))
+    return list(dict.fromkeys(out))[: max(count, 1)]
 
 
 def blc(f: BoolFn, g: BoolFn, p: BlcParams) -> Blc:

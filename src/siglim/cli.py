@@ -2,7 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 for success or membership, 1 for
 a semantic negative (membership fails, a theorem check fails), 2 for any
-validation error, with a diagnostic naming the violated precondition.
+validation error, with a diagnostic naming the violated precondition, and 3
+when `check` cannot decide membership because a witness search hit its
+budget.
 """
 
 from __future__ import annotations
@@ -92,7 +94,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.model is not None:
         model = read_model_file(args.model)
         u = _read_inputs(args.inputs)
-        if model.contains(u, x) != 1:
+        bit, inconclusive = model.membership(u, x)
+        if inconclusive:
+            print("undecided")
+            return 3
+        if bit != 1:
             t = _envelope_violation_time(model, u, x)
             if t is None and isinstance(model, Bailc):
                 t = aic_violation(x, model.aic)

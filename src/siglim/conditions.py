@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Literal, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, Literal, Sequence
 
 from .boolfn import BoolFn, and_fn, apply_fn, fn_compose, fn_leq, identity_fn, or_fn
 from .errors import (
@@ -110,11 +110,14 @@ class LimitCondition(ABC):
     """Bound pair (f, g) of a model; one subclass per model kind.
 
     The arity is that of the bound functions, and f <= g is checked once,
-    here.  `contains`, `membership` and `sample` are defined only here:
-    they check the input tuple and call the kind's `_contains`,
-    `_membership` and `_sample` hooks.  The remaining methods tell the serial
-    witness search what a kind knows about its outputs; the defaults here
-    say that nothing is known.
+    here.  `contains`, `admits`, `membership` and `sample` are defined only
+    here: they check the input tuple and call the kind's hooks.  `admits(u)`
+    is the one membership hook: it does the per-input work (envelopes,
+    outputs, eventual values) once and returns a predicate on outputs, and
+    `contains(u, x)` is `admits(u)(x)`.  Loops that test many outputs
+    against one input build the predicate once.  The remaining methods tell
+    the serial witness search what a kind knows about its outputs; the
+    defaults here say that nothing is known.
     """
 
     f: BoolFn
@@ -138,7 +141,11 @@ class LimitCondition(ABC):
         return u
 
     def contains(self, u: MultiSignal, x: Signal) -> Bit:
-        return self._contains(self._check_input(u), x)
+        return self.admits(u)(x)
+
+    def admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
+        """Membership predicate on outputs for the input u."""
+        return self._admits(self._check_input(u))
 
     def membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
         """(bit, inconclusive): inconclusive marks a search that hit its budget."""
@@ -148,10 +155,10 @@ class LimitCondition(ABC):
         return self._sample(self._check_input(u), count, seed)
 
     @abstractmethod
-    def _contains(self, u: MultiSignal, x: Signal) -> Bit: ...
+    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]: ...
 
     def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
-        return self._contains(u, x), False
+        return self._admits(u)(x), False
 
     @abstractmethod
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]: ...
@@ -197,7 +204,14 @@ def _finite_within(
         if sub is None:
             return None
         outs += sub
-    return [y for y in outs if model.contains(u, y)]
+    admits = model.admits(u)
+    return [y for y in outs if admits(y)]
+
+
+def _sol_admits(f: BoolFn, g: BoolFn, u: MultiSignal) -> Callable[[Signal], Bit]:
+    lam = apply_fn(f, u).eventual_value()
+    mu = apply_fn(g, u).eventual_value()
+    return lambda x: int(lam <= x.eventual_value() <= mu)
 
 
 def sol_contains(f: BoolFn, g: BoolFn, u: MultiSignal, x: Signal) -> Bit:
@@ -206,9 +220,7 @@ def sol_contains(f: BoolFn, g: BoolFn, u: MultiSignal, x: Signal) -> Bit:
     For finitely-switching signals this is exactly membership in the loosest
     condition with bounds (f, g); tighter models refine it pointwise.
     """
-    lam = apply_fn(f, u).eventual_value()
-    mu = apply_fn(g, u).eventual_value()
-    return int(lam <= x.eventual_value() <= mu)
+    return _sol_admits(f, g, u)(x)
 
 
 def _rng(seed: int, tag: str) -> random.Random:
@@ -231,8 +243,8 @@ class Sol(LimitCondition):
 
     kind: Literal["sol", "sc", "mc", "scf"]
 
-    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
-        return sol_contains(self.f, self.g, u, x)
+    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
+        return _sol_admits(self.f, self.g, u)
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         lo, hi = apply_fn(self.f, u), apply_fn(self.g, u)
@@ -290,9 +302,10 @@ class Meet(LimitCondition):
     budget: SearchBudget
     kind = "meet"
 
-    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
-        return int(all(part.contains(u, x) for part in self.parts)
-                   and (self.within is None or self.within.contains(x)))
+    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
+        parts = [part.admits(u) for part in self.parts]
+        v = self.within
+        return lambda x: int(all(p(x) for p in parts) and (v is None or v.contains(x)))
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         pool: list[Signal] = []
@@ -300,11 +313,12 @@ class Meet(LimitCondition):
             for part in self.parts:
                 pool += part.sample(u, self.budget.samples, seed + s)
         pool += [constant(0), constant(1)]
-        out = _distinct_members(pool, lambda x: self._contains(u, x))
+        admits = self._admits(u)
+        out = _distinct_members(pool, admits)
         v = self.within
         if len(out) < count and v is not None and (env := self.parts[0].envelopes(u)):
             y = v.between(*env, self.budget, seed)
-            if y is not None and y not in out and self._contains(u, y):
+            if y is not None and y not in out and admits(y):
                 out.append(y)
         if not out:
             raise EmptyMeet("no witness inside the signal set found within budget"
@@ -336,8 +350,9 @@ class Join(LimitCondition):
     parts: tuple[LimitCondition, ...]
     kind = "join"
 
-    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
-        return int(any(part.contains(u, x) for part in self.parts))
+    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
+        parts = [part.admits(u) for part in self.parts]
+        return lambda x: int(any(p(x) for p in parts))
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         pool = [x for part in self.parts for x in part.sample(u, count, seed)]
@@ -376,8 +391,8 @@ class Restrict(LimitCondition):
     def _in_domain(self, u: MultiSignal) -> bool:
         return all(v.contains(up) for v, up in zip(self.sets, u))
 
-    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
-        return self.base.contains(u, x) if self._in_domain(u) else 0
+    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
+        return self.base.admits(u) if self._in_domain(u) else lambda x: 0
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         if not self._in_domain(u):
@@ -520,23 +535,25 @@ def _dwell_targets(
 
 def _grid_candidates(
     blk: MultiSignal, x: Signal, deltas: set[Time], budget: SearchBudget, refined: bool,
-) -> list[Signal]:
-    base = breakpoints(*(list(blk) + [x]))
-    grid = _grid_times(base, deltas, refined)
-    out: list[Signal] = []
+) -> Iterator[Signal]:
+    """Steps at each grid time, then pulses on each pair of grid times, built
+    lazily; the pulses stop once more than 4 * max_nodes signals were made."""
+    grid = _grid_times(breakpoints(*blk, x), deltas, refined)
     for t in grid:
-        out.append(make_signal(0, [(t, 1)]))
-        out.append(make_signal(1, [(t, 0)]))
+        yield make_signal(0, [(t, 1)])
+        yield make_signal(1, [(t, 0)])
+    made = 2 * len(grid)
     for t1, t2 in combinations(grid, 2):
-        out.append(make_signal(0, [(t1, 1), (t2, 0)]))
-        out.append(make_signal(1, [(t1, 0), (t2, 1)]))
-        if len(out) > 4 * budget.max_nodes:
-            break
-    return out
+        yield make_signal(0, [(t1, 1), (t2, 0)])
+        yield make_signal(1, [(t1, 0), (t2, 1)])
+        made += 2
+        if made > 4 * budget.max_nodes:
+            return
 
 
 def _fixed_candidates(
-    j: LimitCondition, blk: MultiSignal, outer: LimitCondition, x: Signal,
+    j: LimitCondition, blk: MultiSignal, admits: Callable[[Signal], Bit],
+    outer: LimitCondition, x: Signal,
     targets: list[tuple[Signal | None, Signal | None]],
     budget: SearchBudget, seed: int, cap: int,
 ) -> tuple[list[Signal], bool]:
@@ -559,7 +576,7 @@ def _fixed_candidates(
         y = j.dwell_search(blk, lo, hi, seed)
         if y is not None:
             raw.append(y)
-    members = _distinct_members(raw, lambda y: j.contains(blk, y), cap)
+    members = _distinct_members(raw, admits, cap)
     return members, len(members) >= cap
 
 
@@ -577,8 +594,9 @@ def serial_membership(
     flags that the budget cut the enumeration short, making the 0 a
     semi-decision rather than a proof of absence.
 
-    Each stage's samples, constructed candidates and dwell searches are
-    worked out once; each refinement round only extends them with its grid.
+    Each stage's membership predicate, samples, constructed candidates and
+    dwell searches are worked out once; each refinement round only extends
+    them with its grid.
     """
     budget = budget or DEFAULT_BUDGET
     blocks = DirectProduct(tuple(js)).split(u)
@@ -586,15 +604,15 @@ def serial_membership(
     targets = _dwell_targets(i, x)
     m = len(js)
     cap = max(4, int(round(budget.max_nodes ** (1.0 / m))))
-    fixed = [_fixed_candidates(j, blk, i, x, targets, budget, seed, cap)
-             for j, blk in zip(js, blocks)]
+    admits = [j.admits(blk) for j, blk in zip(js, blocks)]
+    fixed = [_fixed_candidates(j, blk, adm, i, x, targets, budget, seed, cap)
+             for j, blk, adm in zip(js, blocks, admits)]
     exhausted = False
     for attempt in range(budget.refinements + 1):
         lists = [
             found if final else _distinct_members(
-                _grid_candidates(blk, x, deltas, budget, attempt > 0),
-                lambda y, j=j, blk=blk: j.contains(blk, y), cap, found)
-            for j, blk, (found, final) in zip(js, blocks, fixed)
+                _grid_candidates(blk, x, deltas, budget, attempt > 0), adm, cap, found)
+            for blk, adm, (found, final) in zip(blocks, admits, fixed)
         ]
         nodes = 0
         for combo in product(*lists):
@@ -638,8 +656,8 @@ class Serial(LimitCondition):
             return self.outer.contains(self._stage_outputs(u), x), False
         return serial_membership(self.outer, self.inners, u, x, self.budget)
 
-    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
-        return self._membership(u, x)[0]
+    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
+        return lambda x: self._membership(u, x)[0]
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         if self.deterministic:
@@ -749,7 +767,7 @@ def check_deterministic(
             except EmptyMeet:
                 continue
         pool += [constant(0), constant(1)]
-        if len(_distinct_members(pool, lambda x: i.contains(u, x), cap=2)) == 2:
+        if len(_distinct_members(pool, i.admits(u), cap=2)) == 2:
             return 0
     return 1
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .boolfn import BoolFn, apply_fn
-from .bounded import Blc, BlcParams, blc_compose, blc_valid
+from .bounded import Blc, BlcParams, _window_samples, blc_compose, blc_valid
 from .conditions import DEFAULT_BUDGET, LimitCondition, SearchBudget, SignalSet, _rng
 from .errors import EmptyBailc, InvalidBlc, NegativeDelay, PreconditionViolated
 from .signals import (
@@ -61,8 +62,9 @@ class Flc(LimitCondition):
     def deltas(self) -> set[Time]:
         return {self.delay}
 
-    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
-        return int(x == self._output(u))
+    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
+        y = self._output(u)
+        return lambda x: int(x == y)
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         return [self._output(u)]
@@ -282,15 +284,17 @@ class Bailc(Blc):
     def deltas(self) -> set[Time]:
         return super().deltas() | {self.aic.delta_r, self.aic.delta_f}
 
-    def _contains(self, u: MultiSignal, x: Signal) -> Bit:
-        return super()._contains(u, x) & aic_contains(x, self.aic)
+    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
+        within, a = super()._admits(u), self.aic
+        return lambda x: within(x) & aic_contains(x, a)
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        out = dict.fromkeys(x for x in super()._sample(u, count + 2, seed)
+        lo, hi = self.envelopes(u)
+        out = dict.fromkeys(x for x in _window_samples(lo, hi, count + 2, seed)
                             if aic_contains(x, self.aic))
         s = 0
         while len(out) < count and s < count + 4:
-            x = self.dwell_search(u, None, None, seed + s)
+            x = search_between(lo, hi, self.aic, self.budget, seed + s)
             if x is None:
                 break
             out[x] = None

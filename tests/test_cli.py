@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import siglim.conditions
 from siglim import (
     AicParams,
     BlcParams,
+    SearchBudget,
     Signal,
     and_fn,
     bailc,
@@ -27,6 +29,7 @@ from siglim import (
     pulse,
     read_model_file,
     read_signal_file,
+    serial,
     sol,
     write_model_file,
     write_signal_file,
@@ -158,6 +161,22 @@ class TestCheck:
         rc = main(["check", "--model", model, "--input", inp, "--candidate", cand])
         assert rc == 1
         assert capsys.readouterr().out.strip() == "violation at t=5/2"
+
+    def test_budget_cut_search_is_undecided(self, ws, capsys, monkeypatch):
+        # inner stages with different windows have no closed form, so the
+        # model read back searches for witnesses; one node cannot refute x
+        chain = serial(blc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2)),
+                       [blc(identity_fn(), identity_fn(), BlcParams(1, 2, 1, 2)),
+                        blc(identity_fn(), identity_fn(), BlcParams(1, 3, 1, 3))])
+        model = ws.model("chain.json", chain)
+        argv = ["check", "--model", model, "--candidate", ws.signal("x.json", constant(1)),
+                "--input", ws.signal("u0.json", pulse(0, 3)),
+                "--input", ws.signal("u1.json", pulse(1, 4))]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.startswith("violation at t=")
+        monkeypatch.setattr(siglim.conditions, "DEFAULT_BUDGET", SearchBudget(max_nodes=1))
+        assert main(argv) == 3
+        assert capsys.readouterr().out.strip() == "undecided"
 
     def test_nothing_to_check_is_an_error(self, ws, capsys):
         cand = ws.signal("x.json", pulse(0, 1))

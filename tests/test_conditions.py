@@ -51,7 +51,7 @@ from siglim import (
     sol_contains,
     translate,
 )
-from siglim import inertial
+from siglim import bounded, inertial
 from siglim.errors import BlockArityMismatch
 from strategies import boolfn_pairs_leq, multisignals, signals
 
@@ -256,6 +256,25 @@ class TestSerialDispatch:
             serial_membership(outer, [inner], u, x, SearchBudget(refinements=rounds))
             counts.append(len(calls))
         assert counts == [9, 9, 9]
+
+    def test_inner_envelopes_do_not_grow_with_the_rounds(self, monkeypatch):
+        # the grid rounds filter thousands of candidates through one
+        # membership predicate per stage, not one envelope computation each
+        outer, inner, u, x = _composition_gap()
+        calls = []
+        real = bounded.envelopes
+
+        def counting(f, g, p, v):
+            calls.append(p == inner.params and tuple(v) == u)
+            return real(f, g, p, v)
+
+        monkeypatch.setattr(bounded, "envelopes", counting)
+        counts = []
+        for rounds in (0, 1, 3):
+            calls.clear()
+            serial_membership(outer, [inner], u, x, SearchBudget(refinements=rounds))
+            counts.append(sum(calls))
+        assert all(n < 20 for n in counts), counts
 
     def test_zero_inner_dwell_chain_sums_parameters(self):
         outer = bailc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2), AicParams(1, 1))
