@@ -59,14 +59,12 @@ class SearchBudget:
     """Caps for all witness searches; exceeding them is inconclusive, never wrong."""
 
     max_nodes: int = 2000
-    refinements: int = 1
+    refine: bool = True
     samples: int = 6
 
     def __post_init__(self) -> None:
         if self.max_nodes < 1 or self.samples < 1:
             raise PreconditionViolated("budget counts must be positive")
-        if self.refinements < 0:
-            raise PreconditionViolated("budget limits must be non-negative")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -85,7 +83,7 @@ class SignalSet(ABC):
     @abstractmethod
     def sample(self, count: int = 3, seed: int = 0) -> list[Signal]: ...
 
-    def between(self, lo: Signal, hi: Signal, budget: SearchBudget, seed: int) -> Signal | None:
+    def between(self, lo: Signal, hi: Signal, seed: int) -> Signal | None:
         return None
 
 
@@ -185,13 +183,6 @@ class LimitCondition(ABC):
             return self.sample(u, 1, seed)
         except SiglimError:
             return []
-
-    def dwell_search(
-        self, u: MultiSignal, lo: Signal | None, hi: Signal | None, seed: int
-    ) -> Signal | None:
-        """An admissible output for u between lo and hi (None: unbounded),
-        built by the dwell-constrained kinds; None when none was found."""
-        return None
 
 
 def _finite_within(
@@ -294,12 +285,11 @@ class Meet(LimitCondition):
     When the parts' samples fall short, the signal set is asked for a member
     between the first part's envelopes, kept only if the meet contains it.
     Non-emptiness is checked lazily: sampling raises EmptyMeet when no common
-    witness is found within the budget.
+    witness is found within the default search budget.
     """
 
     parts: tuple[LimitCondition, ...]
     within: SignalSet | None
-    budget: SearchBudget
     kind = "meet"
 
     def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
@@ -311,13 +301,13 @@ class Meet(LimitCondition):
         pool: list[Signal] = []
         for s in range(3):
             for part in self.parts:
-                pool += part.sample(u, self.budget.samples, seed + s)
+                pool += part.sample(u, DEFAULT_BUDGET.samples, seed + s)
         pool += [constant(0), constant(1)]
         admits = self._admits(u)
         out = _distinct_members(pool, admits)
         v = self.within
         if len(out) < count and v is not None and (env := self.parts[0].envelopes(u)):
-            y = v.between(*env, self.budget, seed)
+            y = v.between(*env, seed)
             if y is not None and y not in out and admits(y):
                 out.append(y)
         if not out:
@@ -332,15 +322,15 @@ class Meet(LimitCondition):
         return _finite_within(self, self.parts, u, seed)
 
 
-def lc_meet(i: LimitCondition, j: LimitCondition, budget: SearchBudget | None = None) -> Meet:
+def lc_meet(i: LimitCondition, j: LimitCondition) -> Meet:
     """Intersection of two conditions with the same bound pair."""
     _same_bounds(i, j)
-    return Meet(i.f, i.g, (i, j), None, budget or DEFAULT_BUDGET)
+    return Meet(i.f, i.g, (i, j), None)
 
 
-def lc_meet_set(i: LimitCondition, v: SignalSet, budget: SearchBudget | None = None) -> Meet:
+def lc_meet_set(i: LimitCondition, v: SignalSet) -> Meet:
     """Restrict the admissible outputs of i to members of the signal set v."""
-    return Meet(i.f, i.g, (i,), v, budget or DEFAULT_BUDGET)
+    return Meet(i.f, i.g, (i,), v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,20 +509,6 @@ def _constructed_candidates(
     return cands
 
 
-def _dwell_targets(
-    outer: LimitCondition, x: Signal
-) -> list[tuple[Signal | None, Signal | None]]:
-    """Brackets, None meaning unbounded, for an inner stage's dwell search."""
-    targets: list[tuple[Signal | None, Signal | None]] = [(None, None)]
-    if outer.kind in ("blc", "bailc"):
-        ymin, ymax = _adjoints(outer.params, x)
-        targets += [(ymin, ymax), (ymin, None), (None, ymax)]
-    elif outer.kind == "flc":
-        z = translate(x, -outer.delay)
-        targets.append((z, z))
-    return targets
-
-
 def _grid_candidates(
     blk: MultiSignal, x: Signal, deltas: set[Time], budget: SearchBudget, refined: bool,
 ) -> Iterator[Signal]:
@@ -553,12 +529,10 @@ def _grid_candidates(
 
 def _fixed_candidates(
     j: LimitCondition, blk: MultiSignal, admits: Callable[[Signal], Bit],
-    outer: LimitCondition, x: Signal,
-    targets: list[tuple[Signal | None, Signal | None]],
-    budget: SearchBudget, seed: int, cap: int,
+    outer: LimitCondition, x: Signal, budget: SearchBudget, seed: int, cap: int,
 ) -> tuple[list[Signal], bool]:
-    """(members, final): the witness candidates for one inner stage that do
-    not depend on the refinement round.
+    """(members, final): the stage's samples and constructed candidates that
+    it admits, which both grid rounds share.
 
     final marks a list the grid must not extend: the stage's finite output
     set, or members already at the cap.
@@ -572,10 +546,6 @@ def _fixed_candidates(
     except EmptyMeet:
         pass
     raw += _constructed_candidates(j, blk, outer, x)
-    for lo, hi in targets:
-        y = j.dwell_search(blk, lo, hi, seed)
-        if y is not None:
-            raw.append(y)
     members = _distinct_members(raw, admits, cap)
     return members, len(members) >= cap
 
@@ -594,24 +564,23 @@ def serial_membership(
     flags that the budget cut the enumeration short, making the 0 a
     semi-decision rather than a proof of absence.
 
-    Each stage's membership predicate, samples, constructed candidates and
-    dwell searches are worked out once; each refinement round only extends
-    them with its grid.
+    Each stage's membership predicate, samples and constructed candidates
+    are worked out once.  A coarse grid round extends them, then, when
+    budget.refine is set, a round on the grid refined by midpoints.
     """
     budget = budget or DEFAULT_BUDGET
     blocks = DirectProduct(tuple(js)).split(u)
     deltas = i.deltas().union(*(j.deltas() for j in js))
-    targets = _dwell_targets(i, x)
     m = len(js)
     cap = max(4, int(round(budget.max_nodes ** (1.0 / m))))
     admits = [j.admits(blk) for j, blk in zip(js, blocks)]
-    fixed = [_fixed_candidates(j, blk, adm, i, x, targets, budget, seed, cap)
+    fixed = [_fixed_candidates(j, blk, adm, i, x, budget, seed, cap)
              for j, blk, adm in zip(js, blocks, admits)]
     exhausted = False
-    for attempt in range(budget.refinements + 1):
+    for refined in (False, True)[: 1 + budget.refine]:
         lists = [
             found if final else _distinct_members(
-                _grid_candidates(blk, x, deltas, budget, attempt > 0), adm, cap, found)
+                _grid_candidates(blk, x, deltas, budget, refined), adm, cap, found)
             for blk, adm, (found, final) in zip(blocks, admits, fixed)
         ]
         nodes = 0
@@ -633,12 +602,11 @@ class Serial(LimitCondition):
 
     When every stage is deterministic, membership and sampling evaluate the
     stages directly; otherwise membership is the witness search
-    `serial_membership` under the budget.
+    `serial_membership` under the default budget.
     """
 
     outer: LimitCondition
     inners: tuple[LimitCondition, ...]
-    budget: SearchBudget
     kind = "serial"
 
     @property
@@ -654,7 +622,7 @@ class Serial(LimitCondition):
     def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
         if self.deterministic:
             return self.outer.contains(self._stage_outputs(u), x), False
-        return serial_membership(self.outer, self.inners, u, x, self.budget)
+        return serial_membership(self.outer, self.inners, u, x)
 
     def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
         return lambda x: self._membership(u, x)[0]
@@ -674,9 +642,7 @@ class Serial(LimitCondition):
         return self.outer.deltas().union(*(j.deltas() for j in self.inners))
 
 
-def closed_form(
-    i: LimitCondition, js: Sequence[LimitCondition], budget: SearchBudget | None = None
-) -> LimitCondition:
+def closed_form(i: LimitCondition, js: Sequence[LimitCondition]) -> LimitCondition:
     """The single model equal to the serial chain of i over js, if one is known.
 
     Fixed delays with a common inner delay add up (law 5.2).  Bounded chains
@@ -723,12 +689,10 @@ def closed_form(
             "stagewise execution produces")
     from .inertial import bailc_compose
 
-    return bailc_compose(i.f, i.g, i.params, i.aic, inner, params.pop(), a_inner, budget)
+    return bailc_compose(i.f, i.g, i.params, i.aic, inner, params.pop(), a_inner)
 
 
-def serial(
-    i: LimitCondition, js: Sequence[LimitCondition], budget: SearchBudget | None = None
-) -> LimitCondition:
+def serial(i: LimitCondition, js: Sequence[LimitCondition]) -> LimitCondition:
     """Serial connection of an outer model with one inner model per input.
 
     Returns the `closed_form` of the chain when one is exact: fixed delays
@@ -737,13 +701,12 @@ def serial(
     dwell.  Otherwise it returns a `Serial`, which evaluates the stages
     directly when all are deterministic and searches for witnesses otherwise.
     """
-    budget = budget or DEFAULT_BUDGET
     js = tuple(js)
     F, G = _composed_bounds(i, js)
     try:
-        return closed_form(i, js, budget)
+        return closed_form(i, js)
     except (KindMismatch, InexactComposition, MonotonyViolated, DistributivityUnverified):
-        return Serial(F, G, i, js, budget)
+        return Serial(F, G, i, js)
 
 
 # --- behavioural checkers ---------------------------------------------------

@@ -136,8 +136,8 @@ class AicSet(SignalSet):
             out.append(x)
         return out
 
-    def between(self, lo: Signal, hi: Signal, budget: SearchBudget, seed: int) -> Signal | None:
-        return search_between(lo, hi, self.a, budget, seed)
+    def between(self, lo: Signal, hi: Signal, seed: int) -> Signal | None:
+        return search_between(lo, hi, self.a, seed=seed)
 
 
 def aic_set(a: AicParams) -> AicSet:
@@ -226,9 +226,9 @@ def _dwell_dfs(
     return rec(0, 0, None, [])
 
 
-def _dwell_grid(lo: Signal, hi: Signal, a: AicParams, refined: bool) -> list[Time]:
+def _dwell_grid(lo: Signal, hi: Signal, a: AicParams) -> list[Time]:
     # envelope breakpoints are mandatory: cells must see lo and hi constant;
-    # only the dwell shifts and midpoints may be capped
+    # only the dwell shifts may be capped
     base = set(breakpoints(lo, hi))
     shifts = {
         i * a.delta_r + j * a.delta_f
@@ -237,9 +237,6 @@ def _dwell_grid(lo: Signal, hi: Signal, a: AicParams, refined: bool) -> list[Tim
     extras: set[Time] = set()
     for s in shifts:
         extras |= {t + s for t in base}
-    if refined:
-        coarse = sorted(base | extras)
-        extras |= {(x + y) / 2 for x, y in zip(coarse, coarse[1:])}
     extras -= base
     room = max(0, 96 - len(base))
     return sorted(base | set(sorted(extras)[:room]))
@@ -249,30 +246,31 @@ def search_between(
     lo: Signal, hi: Signal, a: AicParams,
     budget: SearchBudget | None = None, seed: int = 0,
 ) -> Signal | None:
-    """Find a signal between two envelopes that respects the dwell times."""
+    """Find a signal between two envelopes that respects the dwell times.
+
+    One depth-first pass places edges on the grid of envelope breakpoints
+    plus dwell shifts, within budget.max_nodes.  A None is therefore not a
+    proof: the grid or the node budget may have cut the search short.
+    """
     budget = budget or DEFAULT_BUDGET
     if not signal_leq(lo, hi):
         return None
     rng = _rng(seed, "dwell") if seed else None
-    for attempt in range(budget.refinements + 1):
-        grid = _dwell_grid(lo, hi, a, attempt > 0)
-        x = _dwell_dfs(lo, hi, a, grid, _Budget(budget.max_nodes), rng)
-        if x is not None:
-            if signal_leq(lo, x) and signal_leq(x, hi) and aic_contains(x, a):
-                return x
-            raise AssertionError("witness construction produced an invalid signal")
-    return None
+    x = _dwell_dfs(lo, hi, a, _dwell_grid(lo, hi, a), _Budget(budget.max_nodes), rng)
+    if x is None or signal_leq(lo, x) and signal_leq(x, hi) and aic_contains(x, a):
+        return x
+    raise AssertionError("witness construction produced an invalid signal")
 
 
 @dataclass(frozen=True, eq=False)
 class Bailc(Blc):
     """Bounded limit condition intersected with the inertial dwell constraint.
 
-    `budget` caps the dwell search that builds witnesses.
+    Witnesses beyond the window samples come from `search_between` under the
+    default search budget.
     """
 
     aic: AicParams
-    budget: SearchBudget
     kind = "bailc"
     deterministic = False  # the one bounded output may break the dwell
 
@@ -294,7 +292,7 @@ class Bailc(Blc):
                             if aic_contains(x, self.aic))
         s = 0
         while len(out) < count and s < count + 4:
-            x = search_between(lo, hi, self.aic, self.budget, seed + s)
+            x = search_between(lo, hi, self.aic, seed=seed + s)
             if x is None:
                 break
             out[x] = None
@@ -303,29 +301,15 @@ class Bailc(Blc):
             raise EmptyBailc("no inertial witness found for this input within budget")
         return list(out)[:count]
 
-    def dwell_search(
-        self, u: MultiSignal, lo: Signal | None, hi: Signal | None, seed: int
-    ) -> Signal | None:
-        env_lo, env_hi = self.envelopes(u)
-        if lo is not None:
-            env_lo = env_lo | lo
-        if hi is not None:
-            env_hi = env_hi & hi
-        return search_between(env_lo, env_hi, self.aic, self.budget, seed)
 
-
-def bailc(
-    f: BoolFn, g: BoolFn, p: BlcParams, a: AicParams,
-    budget: SearchBudget | None = None,
-) -> Bailc:
+def bailc(f: BoolFn, g: BoolFn, p: BlcParams, a: AicParams) -> Bailc:
     """Bounded limit condition intersected with the inertial dwell constraint."""
-    return Bailc(f, g, p, a, budget or DEFAULT_BUDGET)
+    return Bailc(f, g, p, a)
 
 
 def bailc_compose(
     f: BoolFn, g: BoolFn, p: BlcParams, a: AicParams,
     inner: list[tuple[BoolFn, BoolFn]], p_inner: BlcParams, a_inner: AicParams,
-    budget: SearchBudget | None = None,
 ) -> Bailc:
     """Summed-parameter form of a chain of bounded-plus-inertial stages.
 
@@ -346,4 +330,4 @@ def bailc_compose(
         if not bailc_nonempty(fi, gi, p_inner, a_inner):
             raise EmptyBailc("an inner stage is empty")
     composed = blc_compose(f, g, p, inner, p_inner)
-    return bailc(composed.f, composed.g, composed.params, a, budget)
+    return bailc(composed.f, composed.g, composed.params, a)

@@ -85,11 +85,11 @@ from .signals import (
     window_any,
 )
 
-CHECK_BUDGET = SearchBudget(max_nodes=160, refinements=1, samples=3)
+CHECK_BUDGET = SearchBudget(max_nodes=160, refine=True, samples=3)
 # single-pass variant for agreement oracles: witnesses come from the stage
 # sample pools and the constructed candidates, so spend on samples rather
-# than on grid refinement rounds
-ORACLE_BUDGET = SearchBudget(max_nodes=160, refinements=0, samples=10)
+# than on a refined grid round
+ORACLE_BUDGET = SearchBudget(max_nodes=160, refine=False, samples=10)
 
 
 @dataclass(frozen=True)
@@ -346,7 +346,7 @@ def _chk_3_4(cfg: GenConfig, rng: random.Random) -> str | None:
             return f"member escapes the eventual sandwich: u={u!r} x={x!r}"
     msum = p.m_r + p.m_f
     a = AicParams(msum / 4, msum / 4)
-    mv = lc_meet_set(j, aic_set(a), CHECK_BUDGET)
+    mv = lc_meet_set(j, aic_set(a))
     for x in mv.sample(u, 2, seed):
         if not (j.contains(u, x) and aic_contains(x, a)):
             return f"set-meet member fails a component: u={u!r} x={x!r}"
@@ -381,13 +381,13 @@ def _chk_3_10(cfg: GenConfig, rng: random.Random) -> str | None:
             return f"monotone lower bound failed to order the composed bounds at {a}"
     i = sol(f, g)
     js = [sol(fi, gi) for fi, gi in inner]
-    k = serial(i, js, CHECK_BUDGET)
+    k = serial(i, js)
     u = gen_multisignal(_small(cfg), sum(arities), rng)
     for x in k.sample(u, 2, rng.randint(0, 1 << 20)):
         if not sol_contains(F, G, u, x):
             return f"chain member outside the composed sandwich: u={u!r} x={x!r}"
     d, d2 = _rat(cfg, rng, 0, 2), _rat(cfg, rng, 0, 2)
-    k2 = serial(flc(f, d), [flc(fi, d2) for fi, _ in inner], CHECK_BUDGET)
+    k2 = serial(flc(f, d), [flc(fi, d2) for fi, _ in inner])
     if check_deterministic(k2, [u], CHECK_BUDGET) != 1:
         return f"deterministic stages produced a non-deterministic chain: u={u!r}"
     return None
@@ -414,9 +414,9 @@ def _chk_3_12(cfg: GenConfig, rng: random.Random) -> str | None:
 
     a = AicParams(_rat(cfg, rng, 0, 1), _rat(cfg, rng, 0, 1))
     V = aic_set(a)
-    iv = lc_meet_set(i, V, CHECK_BUDGET)
+    iv = lc_meet_set(i, V)
     ir = lc_restrict(i, [V] * m)
-    kv = [lc_meet_set(k, V, CHECK_BUDGET) for k in ks]
+    kv = [lc_meet_set(k, V) for k in ks]
     kl_meet = [lc_meet(k, l) for k, l in zip(ks, ls)]
     union_in = [lc_join(k, l) for k, l in zip(ks, ls)]
     join_out = lc_join(i, i2)
@@ -678,7 +678,7 @@ def _chk_5_2(cfg: GenConfig, rng: random.Random) -> str | None:
     arities = [rng.randint(1, 2) for _ in range(m)]
     hs = [gen_boolfn(cfg, n, rng) for n in arities]
     d, d2 = _rat(cfg, rng, 0, 3), _rat(cfg, rng, 0, 3)
-    k = serial(flc(h, d), [flc(hp, d2) for hp in hs], CHECK_BUDGET)
+    k = serial(flc(h, d), [flc(hp, d2) for hp in hs])
     if k.kind != "flc":
         return f"chain of fixed delays did not close: kind={k.kind}"
     H = fn_compose(h, hs)
@@ -708,8 +708,8 @@ def _chk_6_3(cfg: GenConfig, rng: random.Random) -> str | None:
     p = _gen_overlap_params(cfg, rng)
     a = _feasible_aic(cfg, p, rng)
     i = blc(f, g, p)
-    combined = bailc(f, g, p, a, CHECK_BUDGET)
-    met = lc_meet_set(i, aic_set(a), CHECK_BUDGET)
+    combined = bailc(f, g, p, a)
+    met = lc_meet_set(i, aic_set(a))
     u = gen_multisignal(_small(cfg), m, rng)
     seed = rng.randint(0, 1 << 20)
     lo, hi = envelopes(f, g, p, u)
@@ -820,15 +820,15 @@ def _draw_dwell_chain(
     if zero_inner:
         a2 = AicParams(0, 0)
     try:
-        composed = bailc_compose(f, g, p, a, inner, p2, a2, CHECK_BUDGET)
+        composed = bailc_compose(f, g, p, a, inner, p2, a2)
     except SiglimError as e:
         return f"closed form rejected a conforming instance: {e}"
     if composed.params != p + p2 or composed.aic != a:
         return "composed parameters are not the summed windows with the outer dwell"
     u = gen_multisignal(_small(cfg, 4), m, rng)
     x = _member_or_random(composed, u, cfg, rng)
-    outer = bailc(f, g, p, a, CHECK_BUDGET)
-    inners = [bailc(fi, gi, p2, a2, CHECK_BUDGET) for fi, gi in inner]
+    outer = bailc(f, g, p, a)
+    inners = [bailc(fi, gi, p2, a2) for fi, gi in inner]
     return _DwellChain(outer, inners, composed, a2, u, x, rng.randint(0, 1 << 20),
                        f"f={f.bits()} g={g.bits()} p={p} a={a} p'={p2} a'={a2} u={u!r} x={x!r}")
 
@@ -856,7 +856,7 @@ def _chk_6_6s(cfg: GenConfig, rng: random.Random) -> str | None:
     c = _draw_dwell_chain(cfg, rng, zero_inner=rng.random() < 0.5)
     if isinstance(c, str):
         return c
-    k = serial(c.outer, c.inners, CHECK_BUDGET)
+    k = serial(c.outer, c.inners)
     summed = (k.kind == "bailc" and k.f.table == c.composed.f.table
               and k.g.table == c.composed.g.table
               and k.params == c.composed.params

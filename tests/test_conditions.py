@@ -151,7 +151,7 @@ class TestMeetJoinRestrict:
         i = blc(identity_fn(), identity_fn(), BlcParams(1, 1, 1, 1))
         a = AicParams(1, 1)
         lo, hi = i.envelopes((pulse(0, 3),))
-        y = aic_set(a).between(lo, hi, SearchBudget(), 0)
+        y = aic_set(a).between(lo, hi, 0)
         assert y is not None and aic_set(a).contains(y) == 1
         assert signal_leq(lo, y) and signal_leq(y, hi)
 
@@ -195,7 +195,7 @@ class TestDirectProduct:
         first, second = prod(u)
         assert (second.model, second.block) == (i, (u[2],))
         assert second.sample(2, 0) == i.sample((u[2],), 2, 0)
-        assert second.between(constant(0), constant(1), SearchBudget(), 0) is None
+        assert second.between(constant(0), constant(1), 0) is None
         assert all(first.contains(x) == 1 for x in first.sample(3, 0))
 
 
@@ -238,9 +238,9 @@ class TestSerialDispatch:
         assert chain.kind == "serial"
         assert chain.membership(u, x)[0] == 0
 
-    def test_refinement_rounds_reuse_the_dwell_searches(self, monkeypatch):
+    def test_refined_round_reuses_the_stage_samples(self, monkeypatch):
         # only the grid changes between rounds: the inner stage's five
-        # samples and four dwell targets are searched once, not once per round
+        # sampling searches run once, not once per round
         outer, inner, u, x = _composition_gap()
         calls = []
         real = inertial.search_between
@@ -251,11 +251,11 @@ class TestSerialDispatch:
 
         monkeypatch.setattr(inertial, "search_between", counting)
         counts = []
-        for rounds in (0, 1, 3):
+        for refine in (False, True):
             calls.clear()
-            serial_membership(outer, [inner], u, x, SearchBudget(refinements=rounds))
+            serial_membership(outer, [inner], u, x, SearchBudget(refine=refine))
             counts.append(len(calls))
-        assert counts == [9, 9, 9]
+        assert counts == [5, 5]
 
     def test_inner_envelopes_do_not_grow_with_the_rounds(self, monkeypatch):
         # the grid rounds filter thousands of candidates through one
@@ -270,9 +270,9 @@ class TestSerialDispatch:
 
         monkeypatch.setattr(bounded, "envelopes", counting)
         counts = []
-        for rounds in (0, 1, 3):
+        for refine in (False, True):
             calls.clear()
-            serial_membership(outer, [inner], u, x, SearchBudget(refinements=rounds))
+            serial_membership(outer, [inner], u, x, SearchBudget(refine=refine))
             counts.append(sum(calls))
         assert all(n < 20 for n in counts), counts
 

@@ -195,15 +195,6 @@ class TestCombinedModel:
         for x in xs:
             assert i.contains(u, x) == 1
 
-    def test_dwell_search_hook_narrows_the_envelopes(self):
-        i = bailc(ID, ID, params(1, 1, 1, 1), aic_params(F(1, 2), F(1, 2)))
-        u = (pulse(0, 3),)
-        found = i.dwell_search(u, None, None, 0)
-        assert found is not None
-        assert i.contains(u, found) == 1
-        nothing = i.dwell_search(u, constant(1), constant(0), 0)
-        assert nothing is None
-
 
 class TestComposition:
     def test_chain_keeps_the_outer_dwell(self):

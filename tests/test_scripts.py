@@ -10,10 +10,23 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["composition_gap.py", "hazard_filter_demo.py"])
-def test_script_exits_cleanly(script, tmp_path):
+def _run(tmp_path, script, *args):
     env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script)], env=env,
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], env=env,
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("script", ["composition_gap.py", "hazard_filter_demo.py"])
+def test_script_exits_cleanly(script, tmp_path):
+    _run(tmp_path, script)
+
+
+def test_search_trace_prints_counts_and_digest(tmp_path):
+    lines = _run(tmp_path, "search_trace.py", "--seed", "42", "--cases", "2").splitlines()
+    rows = [line.split(": ") for line in lines[1:-1]]
+    assert [law for law, _ in rows] == ["3.12", "4.8", "6.6", "6.6s"]
+    total = sum(int(n) for _, counts in rows for n in counts.split(" / "))
+    assert lines[-1].startswith(f"{total} calls, sha256 ")
