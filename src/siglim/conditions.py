@@ -513,15 +513,16 @@ def _grid_candidates(
     blk: MultiSignal, x: Signal, deltas: set[Time], budget: SearchBudget, refined: bool,
 ) -> Iterator[Signal]:
     """Steps at each grid time, then pulses on each pair of grid times, built
-    lazily; the pulses stop once more than 4 * max_nodes signals were made."""
+    lazily; the pulses stop once more than 4 * max_nodes signals were made.
+    The grid is sorted and distinct, so each signal is canonical as built."""
     grid = _grid_times(breakpoints(*blk, x), deltas, refined)
     for t in grid:
-        yield make_signal(0, [(t, 1)])
-        yield make_signal(1, [(t, 0)])
+        yield Signal(0, ((t, 1),))
+        yield Signal(1, ((t, 0),))
     made = 2 * len(grid)
     for t1, t2 in combinations(grid, 2):
-        yield make_signal(0, [(t1, 1), (t2, 0)])
-        yield make_signal(1, [(t1, 0), (t2, 1)])
+        yield Signal(0, ((t1, 1), (t2, 0)))
+        yield Signal(1, ((t1, 0), (t2, 1)))
         made += 2
         if made > 4 * budget.max_nodes:
             return
@@ -566,7 +567,9 @@ def serial_membership(
 
     Each stage's membership predicate, samples and constructed candidates
     are worked out once.  A coarse grid round extends them, then, when
-    budget.refine is set, a round on the grid refined by midpoints.
+    budget.refine is set, a round on the grid refined by midpoints.  When
+    every list is final (deterministic stages give their one output), the
+    grid adds nothing and a single round answers exactly.
     """
     budget = budget or DEFAULT_BUDGET
     blocks = DirectProduct(tuple(js)).split(u)
@@ -577,7 +580,8 @@ def serial_membership(
     fixed = [_fixed_candidates(j, blk, adm, i, x, budget, seed, cap)
              for j, blk, adm in zip(js, blocks, admits)]
     exhausted = False
-    for refined in (False, True)[: 1 + budget.refine]:
+    rounds = 1 + (budget.refine and not all(final for _, final in fixed))
+    for refined in (False, True)[:rounds]:
         lists = [
             found if final else _distinct_members(
                 _grid_candidates(blk, x, deltas, budget, refined), adm, cap, found)
@@ -600,9 +604,9 @@ def serial_membership(
 class Serial(LimitCondition):
     """Outer model fed by one inner model per input, with no closed form.
 
-    When every stage is deterministic, membership and sampling evaluate the
-    stages directly; otherwise membership is the witness search
-    `serial_membership` under the default budget.
+    Membership is the witness search `serial_membership` under the default
+    budget; it is exact when every stage is deterministic, since each stage
+    then offers its one output.
     """
 
     outer: LimitCondition
@@ -613,24 +617,14 @@ class Serial(LimitCondition):
     def deterministic(self) -> bool:
         return self.outer.deterministic and all(j.deterministic for j in self.inners)
 
-    def _blocks(self, u: MultiSignal) -> list[MultiSignal]:
-        return DirectProduct(self.inners).split(u)
-
-    def _stage_outputs(self, u: MultiSignal) -> MultiSignal:
-        return tuple(j.sample(blk, 1, 0)[0] for j, blk in zip(self.inners, self._blocks(u)))
-
     def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
-        if self.deterministic:
-            return self.outer.contains(self._stage_outputs(u), x), False
         return serial_membership(self.outer, self.inners, u, x)
 
     def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
         return lambda x: self._membership(u, x)[0]
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        if self.deterministic:
-            return self.outer.sample(self._stage_outputs(u), count, seed)
-        blocks = self._blocks(u)
+        blocks = DirectProduct(self.inners).split(u)
         out: list[Signal] = []
         for s in range(count):
             ys = tuple(j.sample(blk, 1 + s % 2, seed + s)[-1]
@@ -698,8 +692,8 @@ def serial(i: LimitCondition, js: Sequence[LimitCondition]) -> LimitCondition:
     Returns the `closed_form` of the chain when one is exact: fixed delays
     with a common inner delay; bounded chains with common inner parameters;
     bounded-plus-inertial chains with common inner parameters and zero inner
-    dwell.  Otherwise it returns a `Serial`, which evaluates the stages
-    directly when all are deterministic and searches for witnesses otherwise.
+    dwell.  Otherwise it returns a `Serial`, which searches for witnesses;
+    the search is exact when every stage is deterministic.
     """
     js = tuple(js)
     F, G = _composed_bounds(i, js)

@@ -921,31 +921,26 @@ def unregister_check(theorem_id: str) -> None:
     del _REGISTRY[theorem_id]
 
 
-def _run_check(check: Check, cfg: GenConfig, rng: random.Random) -> str | None:
+def replay_case(theorem_id: str, cfg: GenConfig, case: int) -> str | None:
+    """Run one case under its sub-seed; the detail is None when it passes.
+
+    A library error raised by the check is reported as the case's detail.
+    """
+    if theorem_id not in _REGISTRY:
+        raise UnknownTheorem(f"no check registered under {theorem_id!r}")
+    _, check = _REGISTRY[theorem_id]
     try:
-        return check(cfg, rng)
+        return check(cfg, random.Random(f"{cfg.seed}:{theorem_id}:{case}"))
     except SiglimError as e:
         return f"unexpected error {type(e).__name__}: {e}"
 
 
-def replay_case(theorem_id: str, cfg: GenConfig, case: int) -> str | None:
-    """Re-run one case with its original sub-seed; returns the same detail."""
-    if theorem_id not in _REGISTRY:
-        raise UnknownTheorem(f"no check registered under {theorem_id!r}")
-    _, check = _REGISTRY[theorem_id]
-    rng = random.Random(f"{cfg.seed}:{theorem_id}:{case}")
-    return _run_check(check, cfg, rng)
-
-
 def run_theorem(theorem_id: str, cfg: GenConfig | None = None) -> TheoremReport:
     cfg = cfg or DEFAULT_CONFIG
-    if theorem_id not in _REGISTRY:
-        raise UnknownTheorem(f"no check registered under {theorem_id!r}")
-    _, check = _REGISTRY[theorem_id]
+    describe(theorem_id)  # an unknown id raises even with zero cases
     report = TheoremReport(theorem_id, cfg.cases)
     for k in range(cfg.cases):
-        rng = random.Random(f"{cfg.seed}:{theorem_id}:{k}")
-        detail = _run_check(check, cfg, rng)
+        detail = replay_case(theorem_id, cfg, k)
         if detail is not None:
             report.failures.append(f"case {k}: {detail}")
     return report

@@ -30,9 +30,6 @@ from .errors import (
 Bit = int
 Time = Fraction
 
-# Interval bounds use None for an infinite endpoint.
-Interval = tuple[Time | None, Time | None]
-
 
 def as_time(value: Time | int) -> Time:
     if isinstance(value, Fraction):
@@ -104,22 +101,6 @@ class Signal:
         rising = tuple(t for t, v in self.transitions if v == 1)
         falling = tuple(t for t, v in self.transitions if v == 0)
         return rising, falling
-
-    def one_intervals(self) -> list[Interval]:
-        """Maximal intervals where the signal is 1, as (start, end) with None
-        for an unbounded endpoint.  Disjoint, ordered, separated by gaps."""
-        out: list[Interval] = []
-        start: Time | None = None
-        running = self.initial == 1
-        for t, v in self.transitions:
-            if v == 1:
-                start, running = t, True
-            else:
-                out.append((start, t))
-                running = False
-        if running:
-            out.append((start, None))
-        return out
 
     def __invert__(self) -> "Signal":
         return Signal(1 - self.initial, tuple((t, 1 - v) for t, v in self.transitions))
@@ -316,50 +297,32 @@ def window_any(x: Signal, d: Time | int, m: Time | int) -> Signal:
 def _erode(x: Signal, d: Time, m: Time) -> Signal:
     """Windowed conjunction without the 0 <= m <= d validation.
 
-    A maximal 1-interval [a, b) contains the closed window [t-d, t-d+m] iff
-    a + d <= t < b + d - m, so each interval shrinks by m and shifts by d.
+    A maximal 1-run [a, b) contains the closed window [t-d, t-d+m] iff
+    a + d <= t < b + d - m, so each 1-run shifts by d and loses m at its end.
     """
-    spans: list[Interval] = []
-    for a, b in x.one_intervals():
-        a2 = None if a is None else a + d
-        b2 = None if b is None else b + d - m
-        if a2 is not None and b2 is not None and a2 >= b2:
-            continue
-        spans.append((a2, b2))
-    return _from_intervals(spans)
+    return _shrink(x, d, m, 1)
 
 
 def _dilate(x: Signal, d: Time, m: Time) -> Signal:
-    """Windowed disjunction without validation; intervals grow by m, shift by d."""
-    grown: list[Interval] = []
-    for a, b in x.one_intervals():
-        a2 = None if a is None else a + d - m
-        b2 = None if b is None else b + d
-        grown.append((a2, b2))
-    merged: list[Interval] = []
-    for a, b in grown:
-        if merged:
-            pa, pb = merged[-1]
-            if pb is None or (a is not None and a <= pb):
-                if pb is not None and (b is None or b > pb):
-                    merged[-1] = (pa, b)
-                continue
-        merged.append((a, b))
-    return _from_intervals(merged)
+    """Windowed disjunction without validation: the erosion of the 0-runs."""
+    return _shrink(x, d, m, 0)
 
 
-def _from_intervals(spans: Sequence[Interval]) -> Signal:
-    """Signal that is 1 exactly on the given ordered, separated intervals."""
-    if not spans:
-        return Signal(0)
-    initial = 1 if spans[0][0] is None else 0
-    pairs: list[tuple[Time, Bit]] = []
-    for a, b in spans:
-        if a is not None:
-            pairs.append((a, 1))
-        if b is not None:
-            pairs.append((b, 0))
-    return _canonical(initial, pairs)
+def _shrink(x: Signal, d: Time, m: Time, b: Bit) -> Signal:
+    """x retarded by d with every b-run shortened by m, in one pass.
+
+    Edges into b move by d and edges out of b by d - m; a b-run no longer
+    than m vanishes together with its two edges.  d may be negative.
+    """
+    out: list[tuple[Time, Bit]] = []
+    d_out = d - m
+    for t, v in x.transitions:
+        t += d if v == b else d_out
+        if v != b and out and out[-1][0] >= t:
+            out.pop()
+        else:
+            out.append((t, v))
+    return Signal(x.initial, tuple(out))
 
 
 def signal_leq(x: Signal, y: Signal) -> bool:

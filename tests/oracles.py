@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to cross-check the library.
 
-These deliberately avoid the library's interval mapping: window queries are
+These deliberately avoid the library's edge shifting: window queries are
 decided by sampling the closed look-back interval on a grid finer than every
 denominator in play, so a disagreement can only come from a library bug, not
 from a shared assumption.

@@ -284,7 +284,8 @@ class TestSerialDispatch:
         assert chain.params == BlcParams(2, 5, 2, 5)
         assert chain.aic == AicParams(1, 1)
 
-    def test_mixed_delays_fall_back_to_deterministic_path(self):
+    def test_mixed_delays_are_decided_by_the_search(self):
+        # deterministic stages offer their one output, so the search is exact
         chain = serial(flc(and_fn(2), 1), [flc(identity_fn(), 2), flc(identity_fn(), 3)])
         assert chain.kind == "serial"
         assert chain.deterministic
@@ -292,6 +293,27 @@ class TestSerialDispatch:
         expected = translate(u[0], 3) & translate(u[1], 4)
         assert chain.contains(u, expected) == 1
         assert chain.contains(u, constant(1)) == 0
+        assert chain.membership(u, expected) == (1, False)
+        assert chain.membership(u, constant(1)) == (0, False)
+        assert chain.sample(u, 3, 0) == [expected]
+
+    def test_deterministic_chain_rejects_in_one_round(self, monkeypatch):
+        # every stage list is final, so the refined round would re-test the
+        # same combinations: one outer contains per combination
+        outer = flc(and_fn(2), 1)
+        inners = [flc(identity_fn(), 2), flc(identity_fn(), 3)]
+        u = (pulse(0, 4), pulse(1, 5))
+        calls = []
+        real = type(outer).contains
+
+        def counting(self, *args):
+            calls.append(self is outer)
+            return real(self, *args)
+
+        monkeypatch.setattr(type(outer), "contains", counting)
+        budget = SearchBudget(refine=True)
+        assert serial_membership(outer, inners, u, constant(1), budget) == (0, False)
+        assert sum(calls) == 1
 
     def test_outer_without_adjoints_reads_the_inner_envelopes(self):
         # fixed-delay and eventual-value outers have no window adjoints: the

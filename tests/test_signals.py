@@ -90,10 +90,6 @@ class TestEvaluation:
         assert make_signal(0, [(3, 1)]).eventual_value() == 1
         assert constant(1).eventual_value() == 1
 
-    def test_one_intervals_round_trip(self):
-        x = make_signal(1, [(0, 0), (2, 1), (F(7, 2), 0)])
-        assert x.one_intervals() == [(None, F(0)), (F(2), F(7, 2))]
-
     def test_first_one_time(self):
         assert first_one_time(constant(0)) is None
         assert first_one_time(pulse(3, 5)) == 3
@@ -151,6 +147,11 @@ class TestWindows:
         x = pulse(0, 3)
         assert window_all(x, 2, 1) == pulse(2, 4)
         assert window_any(x, 2, 1) == pulse(1, 5)
+        # boundary: a 1-run exactly m long vanishes under window_all, and a
+        # 0-gap exactly m long closes under window_any
+        assert window_all(pulse(0, 1), 2, 1) == constant(0)
+        y = charfn([(0, 2), (3, 5)])
+        assert window_any(y, 2, 1) == pulse(1, 7)
 
     def test_window_all_with_zero_width_is_translate(self):
         x = make_signal(0, [(0, 1), (F(1, 2), 0), (3, 1)])
