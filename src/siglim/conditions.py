@@ -626,7 +626,8 @@ class Serial(LimitCondition):
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         blocks = DirectProduct(self.inners).split(u)
         out: list[Signal] = []
-        for s in range(count):
+        # a deterministic chain gives its one output in every round
+        for s in range(1 if self.deterministic else count):
             ys = tuple(j.sample(blk, 1 + s % 2, seed + s)[-1]
                        for j, blk in zip(self.inners, blocks))
             out += self.outer.sample(ys, 1 + s % 2, seed + s)

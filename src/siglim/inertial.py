@@ -99,10 +99,15 @@ def aic_violation(x: Signal, a: AicParams) -> Time | None:
     Only the gap to the next transition matters, so a final edge always
     passes; a pulse of width exactly delta fails.
     """
-    trans = x.transitions
-    for (t1, v1), (t2, _) in zip(trans, trans[1:]):
-        if t2 - t1 <= (a.delta_r if v1 == 1 else a.delta_f):
-            return t2
+    s, ticks = x.scale, x.ticks
+    # the longest violating gap in ticks, indexed by the run's value
+    limit = (a.delta_f.numerator * s // a.delta_f.denominator,
+             a.delta_r.numerator * s // a.delta_r.denominator)
+    v = 1 - x.initial
+    for t1, t2 in zip(ticks, ticks[1:]):
+        if t2 - t1 <= limit[v]:
+            return Fraction(t2, s)
+        v ^= 1
     return None
 
 

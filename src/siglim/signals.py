@@ -6,8 +6,13 @@ value on a left-closed right-open piece.  The representation is canonical:
 transition times are strictly increasing and consecutive values alternate, so
 two signals are equal as functions iff they are equal as values.
 
-All times are `fractions.Fraction`, so every operation here is exact; nothing
-in this module ever rounds.
+Times are `fractions.Fraction` at the API and integer ticks inside: a signal
+stores its times multiplied by their least common denominator, and every walk
+(`combine`, `signal_leq`, `breakpoints`, `values_along`, the windows and
+`translate`) brings its operands onto a common lattice and does int
+arithmetic only, linear in the number of transitions.  Every time is exactly
+tick / scale, so every operation here is exact; nothing in this module ever
+rounds.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import itemgetter
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -45,35 +49,74 @@ def _as_bit(value: int) -> Bit:
     raise PreconditionViolated(f"bit must be 0 or 1, got {value!r}")
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Signal:
     """Canonical piecewise-constant Boolean signal.
 
-    `initial` is the value on the unbounded left piece; `transitions` lists
-    (time, new value) pairs with strictly increasing times and alternating
-    values.  Instances are immutable and compare exactly.
+    `Signal(initial, transitions)` takes `initial`, the value on the
+    unbounded left piece, and (time, new value) pairs with strictly
+    increasing Fraction times and alternating values.  The signal stores
+    the times on an integer lattice: `ticks[i]` is the i-th time times
+    `scale`, the times' least common denominator (1 for a constant), and
+    the values alternate from `1 - initial`.  `gcd(scale, *ticks) == 1`, so
+    equal fields mean equal functions.  `transitions` rebuilds the pairs on
+    each read.  Instances are immutable and compare exactly.
     """
 
     initial: Bit
-    transitions: tuple[tuple[Time, Bit], ...] = ()
+    scale: int
+    ticks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _as_bit(self.initial)
-        prev_t: Time | None = None
-        prev_v = self.initial
-        for t, v in self.transitions:
+    def __init__(self, initial: Bit, transitions: Iterable[tuple[Time, Bit]] = ()) -> None:
+        initial = _as_bit(initial)
+        times = []
+        v = initial
+        for t, v_next in transitions:
             if not isinstance(t, Fraction):
                 raise PreconditionViolated("transition times must be Fraction")
-            _as_bit(v)
-            if prev_t is not None and t <= prev_t:
-                raise PreconditionViolated("transition times must be strictly increasing")
-            if v == prev_v:
+            if v_next != 1 - v:
+                _as_bit(v_next)
                 raise PreconditionViolated("consecutive transition values must alternate")
-            prev_t, prev_v = t, v
+            times.append(t)
+            v = 1 - v
+        scale = lcm(*[t.denominator for t in times])
+        ticks = tuple([t.numerator * (scale // t.denominator) for t in times])
+        for a, b in zip(ticks, ticks[1:]):
+            if a >= b:
+                raise PreconditionViolated("transition times must be strictly increasing")
+        _set(self, "initial", initial)
+        _set(self, "scale", scale)
+        _set(self, "ticks", ticks)
 
-    @cached_property
-    def _times(self) -> tuple[Time, ...]:
-        return tuple(t for t, _ in self.transitions)
+    @classmethod
+    def _on(cls, initial: Bit, scale: int, ticks: tuple[int, ...]) -> "Signal":
+        """The signal with these fields after dividing out their gcd, unchecked:
+        the ticks must increase strictly."""
+        g = gcd(scale, *ticks)
+        if g > 1:
+            scale //= g
+            ticks = tuple(t // g for t in ticks)
+        x = object.__new__(cls)
+        _set(x, "initial", initial)
+        _set(x, "scale", scale)
+        _set(x, "ticks", ticks)
+        return x
+
+    @property
+    def transitions(self) -> tuple[tuple[Time, Bit], ...]:
+        s, v = self.scale, self.initial
+        out = []
+        for t in self.ticks:
+            v ^= 1
+            out.append((Fraction(t, s), v))
+        return tuple(out)
+
+    def __repr__(self) -> str:
+        """The constructor's form, as the reports print it."""
+        return f"Signal(initial={self.initial!r}, transitions={self.transitions!r})"
 
     def value_at(self, t: Time | int) -> Bit:
         """Value of the signal at time t (right-continuous convention).
@@ -82,28 +125,28 @@ class Signal:
         `values_along`, which walks them once.
         """
         t = as_time(t)
-        i = bisect_right(self._times, t) - 1
-        return self.transitions[i][1] if i >= 0 else self.initial
+        k = t.numerator * self.scale // t.denominator
+        return self.initial ^ (bisect_right(self.ticks, k) & 1)
 
     def left_limit(self, t: Time | int) -> Bit:
         """Value held immediately before time t."""
         t = as_time(t)
-        i = bisect_left(self._times, t) - 1
-        return self.transitions[i][1] if i >= 0 else self.initial
+        k = -(-t.numerator * self.scale // t.denominator)
+        return self.initial ^ (bisect_left(self.ticks, k) & 1)
 
     def eventual_value(self) -> Bit:
         """Value held from the last transition onward."""
-        return self.transitions[-1][1] if self.transitions else self.initial
+        return self.initial ^ (len(self.ticks) & 1)
 
     def edges(self) -> tuple[tuple[Time, ...], tuple[Time, ...]]:
         """(rising times, falling times); in canonical form every transition
         is an edge."""
-        rising = tuple(t for t, v in self.transitions if v == 1)
-        falling = tuple(t for t, v in self.transitions if v == 0)
-        return rising, falling
+        times = tuple(Fraction(t, self.scale) for t in self.ticks)
+        first, second = times[0::2], times[1::2]
+        return (second, first) if self.initial else (first, second)
 
     def __invert__(self) -> "Signal":
-        return Signal(1 - self.initial, tuple((t, 1 - v) for t, v in self.transitions))
+        return Signal._on(1 - self.initial, self.scale, self.ticks)
 
     def __and__(self, other: "Signal") -> "Signal":
         return combine(lambda a, b: a & b, self, other)
@@ -174,49 +217,76 @@ def charfn(intervals: Iterable[tuple[Time | int, Time | int]]) -> Signal:
     return _canonical(0, pairs)
 
 
-_time = itemgetter(0)
+def _lattice(signals: Iterable[Signal]) -> int:
+    """The least scale on which every one of the signals' times is a tick."""
+    return lcm(*[x.scale for x in signals])
 
 
-def _sweep(signals: Sequence[Signal]) -> Iterator[tuple[Time, list[Bit]]]:
+def _code(bits: Iterable[Bit]) -> int:
+    """The bits as one int, the first most significant: a truth-table index."""
+    code = 0
+    for b in bits:
+        code = code << 1 | b
+    return code
+
+
+def _bits(code: int, n: int) -> tuple[Bit, ...]:
+    """The n bits of code, the first most significant."""
+    return tuple((code >> k) & 1 for k in range(n - 1, -1, -1))
+
+
+def _sweep(signals: Sequence[Signal], scale: int) -> Iterator[tuple[int, int]]:
     """Walk the signals' transitions once, in time order.
 
-    Yields (t, values) once per distinct transition time t, where values are
-    the signals' values from t on; the one list is updated in place between
-    steps, so read it before advancing.  Coincident transitions fold into one
-    step.  The events are sorted on time alone and stably: Timsort finds each
-    signal's transitions as one sorted run and merges the runs, so the walk
-    costs a few comparisons per transition.
+    `scale` is a common multiple of the signals' scales.  Yields (tick, code)
+    once per distinct transition time tick / scale, where code holds the
+    signals' values from that time on as `_code` packs them.  Coincident
+    transitions fold into one step.  The events are (tick, bit mask) int
+    pairs: each signal's form one sorted run, which Timsort finds and
+    merges, so the walk costs a few int comparisons per transition.
     """
-    values = [x.initial for x in signals]
-    events = [(t, k, v) for k, x in enumerate(signals) for t, v in x.transitions]
+    code, mask = 0, 1 << len(signals)
+    events: list[tuple[int, int]] = []
+    for x in signals:
+        code, mask = code << 1 | x.initial, mask >> 1
+        f = scale // x.scale
+        events += [(t * f, mask) for t in x.ticks]
     if not events:
         return
-    events.sort(key=_time)
+    events.sort()
     prev = events[0][0]
-    for t, k, v in events:
+    for t, flip in events:
         if t != prev:
-            yield prev, values
+            yield prev, code
             prev = t
-        values[k] = v
-    yield prev, values
+        code ^= flip
+    yield prev, code
 
 
 def combine(op: Callable[..., int], *signals: Signal) -> Signal:
     """Pointwise combination of signals under a Boolean operation.
 
-    op runs once per distinct transition time; the cost is linear in the
-    total number of transitions.
+    op must be a function of its arguments alone: it runs once per distinct
+    combination of values the signals take, and the walk looks its answer
+    up at every other transition time.  The cost is linear in the total
+    number of transitions.
     """
     if not signals:
         raise ArityMismatch("combine needs at least one signal")
-    cur = initial = _as_bit(op(*(x.initial for x in signals)))
-    out: list[tuple[Time, Bit]] = []
-    for t, values in _sweep(signals):
-        v = _as_bit(op(*values))
+    n = len(signals)
+    values = tuple(x.initial for x in signals)
+    cur = initial = _as_bit(op(*values))
+    seen = {_code(values): initial}
+    scale = _lattice(signals)
+    out: list[int] = []
+    for t, code in _sweep(signals, scale):
+        v = seen.get(code)
+        if v is None:
+            v = seen[code] = _as_bit(op(*_bits(code, n)))
         if v != cur:
-            out.append((t, v))
+            out.append(t)
             cur = v
-    return Signal(initial, tuple(out))
+    return Signal._on(initial, scale, tuple(out))
 
 
 def values_along(u: Sequence[Signal], times: Iterable[Time]) -> list[tuple[Bit, ...]]:
@@ -224,15 +294,17 @@ def values_along(u: Sequence[Signal], times: Iterable[Time]) -> list[tuple[Bit, 
 
     The cost is linear in the number of times plus transitions.
     """
-    steps = _sweep(u)
-    now = tuple(x.initial for x in u)
+    scale = _lattice(u)
+    steps = _sweep(u, scale)
+    code = _code(x.initial for x in u)
     step = next(steps, None)
     out: list[tuple[Bit, ...]] = []
     for t in times:
-        while step is not None and step[0] <= t:
-            now = tuple(step[1])
+        k = t.numerator * scale // t.denominator
+        while step is not None and step[0] <= k:
+            code = step[1]
             step = next(steps, None)
-        out.append(now)
+        out.append(_bits(code, len(u)))
     return out
 
 
@@ -260,7 +332,9 @@ def pointwise(op: str, x: Signal, y: Signal | None = None) -> Signal:
 def translate(x: Signal, d: Time | int) -> Signal:
     """Retard x by d: the result at t equals x at t - d.  d may be negative."""
     d = as_time(d)
-    return Signal(x.initial, tuple((t + d, v) for t, v in x.transitions))
+    scale = lcm(x.scale, d.denominator)
+    f, off = scale // x.scale, d.numerator * (scale // d.denominator)
+    return Signal._on(x.initial, scale, tuple(t * f + off for t in x.ticks))
 
 
 def translate_all(u: MultiSignal, d: Time | int) -> MultiSignal:
@@ -314,15 +388,23 @@ def _shrink(x: Signal, d: Time, m: Time, b: Bit) -> Signal:
     Edges into b move by d and edges out of b by d - m; a b-run no longer
     than m vanishes together with its two edges.  d may be negative.
     """
-    out: list[tuple[Time, Bit]] = []
-    d_out = d - m
-    for t, v in x.transitions:
-        t += d if v == b else d_out
-        if v != b and out and out[-1][0] >= t:
-            out.pop()
+    scale = lcm(x.scale, d.denominator, m.denominator)
+    f = scale // x.scale
+    d_in = d.numerator * (scale // d.denominator)
+    d_out = d_in - m.numerator * (scale // m.denominator)
+    out: list[int] = []
+    into = x.initial != b
+    for t in x.ticks:
+        if into:
+            out.append(t * f + d_in)
         else:
-            out.append((t, v))
-    return Signal(x.initial, tuple(out))
+            t = t * f + d_out
+            if out and out[-1] >= t:
+                out.pop()
+            else:
+                out.append(t)
+        into = not into
+    return Signal._on(x.initial, scale, tuple(out))
 
 
 def signal_leq(x: Signal, y: Signal) -> bool:
@@ -333,12 +415,14 @@ def signal_leq(x: Signal, y: Signal) -> bool:
     """
     if x.initial > y.initial:
         return False
-    return all(a <= b for _, (a, b) in _sweep((x, y)))
+    # code 0b10 packs x = 1, y = 0
+    return all(code != 0b10 for _, code in _sweep((x, y), _lattice((x, y))))
 
 
 def breakpoints(*signals: Signal) -> list[Time]:
     """Sorted union of all transition times of the given signals."""
-    return [t for t, _ in _sweep(signals)]
+    scale = _lattice(signals)
+    return [Fraction(t, scale) for t, _ in _sweep(signals, scale)]
 
 
 def first_one_time(x: Signal) -> Time | None:
@@ -348,9 +432,7 @@ def first_one_time(x: Signal) -> Time | None:
     convention is one unit before the first transition (time 0 if there is
     none), which is enough for diagnostics.
     """
-    if x.initial == 1:
-        return x.transitions[0][0] - 1 if x.transitions else Fraction(0)
-    for t, v in x.transitions:
-        if v == 1:
-            return t
-    return None
+    if not x.ticks:
+        return Fraction(0) if x.initial else None
+    first = Fraction(x.ticks[0], x.scale)
+    return first - 1 if x.initial else first

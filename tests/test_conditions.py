@@ -52,7 +52,9 @@ from siglim import (
     translate,
 )
 from siglim import bounded, inertial
+from siglim.conditions import Serial, _composed_bounds
 from siglim.errors import BlockArityMismatch
+from siglim.inertial import Flc
 from strategies import boolfn_pairs_leq, multisignals, signals
 
 F = Fraction
@@ -314,6 +316,24 @@ class TestSerialDispatch:
         budget = SearchBudget(refine=True)
         assert serial_membership(outer, inners, u, constant(1), budget) == (0, False)
         assert sum(calls) == 1
+
+    def test_deterministic_chain_samples_in_one_round(self, monkeypatch):
+        # every round of an all-deterministic chain gives the one output:
+        # one inner and one outer sample, not one pair per requested output
+        outer, inner = flc(identity_fn(), 1), flc(identity_fn(), 2)
+        F, G = _composed_bounds(outer, (inner,))
+        chain = Serial(F, G, outer, (inner,))
+        u = (pulse(0, 2),)
+        calls = []
+        real = Flc._sample
+
+        def counting(self, *args):
+            calls.append(self)
+            return real(self, *args)
+
+        monkeypatch.setattr(Flc, "_sample", counting)
+        assert chain.sample(u, 6, 0) == [translate(u[0], 3)]
+        assert len(calls) == 2
 
     def test_outer_without_adjoints_reads_the_inner_envelopes(self):
         # fixed-delay and eventual-value outers have no window adjoints: the

@@ -30,3 +30,13 @@ def test_search_trace_prints_counts_and_digest(tmp_path):
     assert [law for law, _ in rows] == ["3.12", "4.8", "6.6", "6.6s"]
     total = sum(int(n) for _, counts in rows for n in counts.split(" / "))
     assert lines[-1].startswith(f"{total} calls, sha256 ")
+
+
+# The digest of every serial search answer at seed 42, 30 cases per law.  A
+# change meant to move search answers updates this constant and says so.
+SEARCH_TRACE_30 = "1002 calls, sha256 8d6785310abf513ed6715f8d507de138a0210df5ad51d9d081cca46776229d1c"
+
+
+def test_search_trace_digest_is_pinned(tmp_path):
+    lines = _run(tmp_path, "search_trace.py", "--seed", "42", "--cases", "30").splitlines()
+    assert lines[-1] == SEARCH_TRACE_30

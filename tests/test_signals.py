@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,17 @@ def assert_canonical(x: Signal) -> None:
         assert v in (0, 1) and v != prev_v
         assert prev_t is None or t > prev_t
         prev_t, prev_v = t, v
+    assert_on_lattice(x)
+
+
+def assert_on_lattice(x: Signal) -> None:
+    """The stored ticks are the least lattice of the times, and rebuilding
+    the signal from its transitions gives the same value and hash."""
+    assert gcd(x.scale, *x.ticks) == 1
+    assert all(a < b for a, b in zip(x.ticks, x.ticks[1:]))
+    assert x.ticks == tuple(t * x.scale for t, _ in x.transitions)
+    rebuilt = Signal(x.initial, x.transitions)
+    assert rebuilt == x and hash(rebuilt) == hash(x)
 
 
 class TestConstruction:
@@ -327,10 +339,79 @@ class TestCost:
         return CountingTime.compared
 
     def test_operations_are_linear(self):
+        # the walks run on integer ticks: no time is compared at all, and
+        # combine's op runs once per combination of values, not per time
         x, y = self.long_signal(1, self.N), self.long_signal(2, self.N)
-        assert self.compared(lambda: x & y) <= 10 * self.N
+        assert self.compared(lambda: x & y) == 0
         z = x | y
-        assert self.compared(lambda: signal_leq(x, z)) <= 10 * self.N
-        assert self.compared(lambda: breakpoints(x, y)) <= 10 * self.N
-        times = breakpoints(x, y)
-        assert self.compared(lambda: values_along((x, y), times)) <= 10 * self.N
+        assert self.compared(lambda: signal_leq(x, z)) == 0
+        assert self.compared(lambda: breakpoints(x, y)) == 0
+        times = [CountingTime(t) for t in breakpoints(x, y)]
+        assert self.compared(lambda: values_along((x, y), times)) == 0
+        calls = []
+
+        def op(a, b):
+            calls.append(None)
+            return a & b
+
+        assert combine(op, x, y) == x & y
+        assert len(calls) <= 4 < len(times)
+
+
+def every_op(x: Signal, y: Signal, d: Fraction, m: Fraction) -> list[Signal]:
+    """One output of each signal-algebra operation."""
+    return [
+        ~x, x & y, x | y, x ^ y, pointwise("not", x), combine(lambda a: a, x),
+        translate(x, d), window_all(x, abs(d) + m, m), window_any(x, abs(d) + m, m),
+        _erode(x, d, m), _dilate(x, d, m),
+        make_signal(x.initial, x.transitions), charfn([(d, d + m)]),
+    ]
+
+
+class TestLattice:
+    """Times are stored as integer ticks on the least common denominator."""
+
+    def test_combine_over_mixed_denominators(self):
+        x, y = pulse(F(1, 3), F(2, 3)), pulse(F(1, 8), F(5, 8))
+        both = x & y
+        assert (both.scale, both.ticks) == (24, (8, 15))
+        assert both == pulse(F(1, 3), F(5, 8))
+        assert x | y == pulse(F(1, 8), F(2, 3))
+        assert x ^ y == charfn([(F(1, 8), F(1, 3)), (F(5, 8), F(2, 3))])
+        # the thirds and eighths cancel out, and so does the lattice
+        whole = pulse(0, F(1, 3)) | pulse(F(1, 8), 1)
+        assert (whole.scale, whole.ticks) == (1, (0, 1))
+        assert (x & ~x).scale == 1
+
+    def test_constant_has_unit_scale(self):
+        assert (constant(1).scale, constant(1).ticks) == (1, ())
+        assert Signal(0, ((F(3, 4), 1),)).ticks == (3,)
+
+    @given(signals())
+    def test_translate_round_trip_restores_the_lattice(self, x):
+        third = F(1, 3)
+        y = translate(translate(x, third), -third)
+        assert y == x and hash(y) == hash(x)
+        assert (y.scale, y.ticks) == (x.scale, x.ticks)
+
+    def test_translate_worked_example(self):
+        y = translate(pulse(0, 1), F(1, 3))
+        assert (y.scale, y.ticks) == (3, (1, 4))
+        assert translate(y, -F(1, 3)).scale == 1
+
+    @given(signals(), rationals(-12, 28, max_den=11))
+    def test_evaluation_agrees_with_the_fraction_definition(self, x, t):
+        # t, often negative, and each transition time with the points a third
+        # of a tick either side of it, which are off the signal's lattice
+        third = F(1, 3 * x.scale)
+        probes = [t] + [s + e for s, _ in x.transitions for e in (-third, 0, third)]
+        for p in probes:
+            at = [v for s, v in x.transitions if s <= p]
+            before = [v for s, v in x.transitions if s < p]
+            assert x.value_at(p) == (at[-1] if at else x.initial)
+            assert x.left_limit(p) == (before[-1] if before else x.initial)
+
+    @given(signals(), signals(), rationals(-4, 4), nonneg_rationals(2))
+    def test_every_op_output_is_on_its_least_lattice(self, x, y, d, m):
+        for z in every_op(x, y, d, m):
+            assert_on_lattice(z)
