@@ -23,8 +23,9 @@ from .signals import (
     MultiSignal,
     Signal,
     Time,
+    _lattice,
+    _sweep,
     as_time,
-    breakpoints,
     constant,
     first_one_time,
     make_signal,
@@ -55,8 +56,7 @@ class BlcParams:
                          self.m_f + other.m_f, self.d_f + other.d_f)
 
 
-def params(m_r, d_r, m_f, d_f) -> BlcParams:
-    return BlcParams(as_time(m_r), as_time(d_r), as_time(m_f), as_time(d_f))
+params = BlcParams
 
 
 def lower_envelope(f: BoolFn, u: MultiSignal, p: BlcParams) -> Signal:
@@ -124,10 +124,15 @@ def _window_samples(lo: Signal, hi: Signal, count: int, seed: int) -> list[Signa
     """The envelopes lo and hi, then seeded signals clamped between them."""
     out = [lo, hi]
     rng = _rng(seed, "blc")
-    pool = breakpoints(lo, hi) or [Fraction(0)]
+    scale = _lattice((lo, hi))
+    # the merged transition ticks, or the single time 0; only the drawn
+    # ticks become Fractions
+    ticks = [t for t, _ in _sweep((lo, hi), scale)] or [0]
+    n = len(ticks)
     while len(out) < count + 2:
-        times = sorted(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
-        r = make_signal(rng.randint(0, 1), [(t, rng.randint(0, 1)) for t in times])
+        picks = sorted(rng.sample(range(n), rng.randint(0, min(4, n))))
+        r = make_signal(rng.randint(0, 1),
+                        [(Fraction(ticks[k], scale), rng.randint(0, 1)) for k in picks])
         out.append(lo | (r & hi))
     return list(dict.fromkeys(out))[: max(count, 1)]
 

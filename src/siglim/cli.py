@@ -186,9 +186,7 @@ def _render_vcd(names: list[str], xs: list[Signal], lo: Fraction, hi: Fraction) 
             if lo <= t <= hi:
                 changes.setdefault(t, []).append(f"{v}{ident}")
     times = sorted(changes)
-    scale = 1
-    for t in times:
-        scale = scale * t.denominator // math.gcd(scale, t.denominator)
+    scale = math.lcm(*(t.denominator for t in times))
     offset = -min(times[0] * scale, 0) if times else 0
     out = []
     if scale == 1:

@@ -39,8 +39,7 @@ from .signals import (
     MultiSignal,
     Signal,
     Time,
-    _dilate,
-    _erode,
+    _shrink,
     as_time,
     breakpoints,
     constant,
@@ -474,7 +473,7 @@ def _adjoints(p: BlcParams, x: Signal) -> tuple[Signal, Signal]:
 
     They bracket every intermediate signal that such a stage maps onto x.
     """
-    return _erode(x, p.m_f - p.d_f, p.m_f), _dilate(x, p.m_r - p.d_r, p.m_r)
+    return _shrink(x, p.m_f - p.d_f, p.m_f, 1), _shrink(x, p.m_r - p.d_r, p.m_r, 0)
 
 
 def _constructed_candidates(

@@ -89,8 +89,7 @@ class AicParams:
             raise NegativeDelay("dwell times must be non-negative")
 
 
-def aic_params(delta_r, delta_f) -> AicParams:
-    return AicParams(as_time(delta_r), as_time(delta_f))
+aic_params = AicParams
 
 
 def aic_violation(x: Signal, a: AicParams) -> Time | None:

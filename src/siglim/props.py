@@ -3,16 +3,17 @@
 Every algebraic fact the library relies on is bound to a numbered check that
 runs against independently generated instances.  Checks are exact: rational
 arithmetic throughout, equality decided structurally, and each criterion is
-exercised in both directions where it claims an equivalence.  Sub-seeds are
-derived from (seed, check id, case index) so parallel and serial runs of the
-same configuration produce identical reports.
+exercised in both directions where it claims an equivalence.  A check is a
+function of its `random.Random` alone, seeded from (seed, check id, case
+index), so parallel and serial runs of the same configuration produce
+identical reports; the generator bounds are the module constants below.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable
@@ -92,23 +93,21 @@ CHECK_BUDGET = SearchBudget(max_nodes=160, refine=True, samples=3)
 ORACLE_BUDGET = SearchBudget(max_nodes=160, refine=False, samples=10)
 
 
+# generator bounds: transitions of a drawn signal, denominator of a drawn
+# time, arity of a drawn bound function
+MAX_TRANSITIONS = 12
+MAX_DENOMINATOR = 8
+MAX_DRAW_ARITY = 3
+
+
 @dataclass(frozen=True)
 class GenConfig:
     seed: int = 42
     cases: int = 500
-    max_transitions: int = 12
-    max_denominator: int = 8
-    max_arity: int = 3
 
     def __post_init__(self) -> None:
         if self.cases < 1:
             raise PreconditionViolated("cases must be at least 1")
-        if not 1 <= self.max_arity <= 4:
-            raise PreconditionViolated("max_arity must be between 1 and 4")
-        if not 1 <= self.max_denominator <= 16:
-            raise PreconditionViolated("max_denominator must be between 1 and 16")
-        if not 0 <= self.max_transitions <= 20:
-            raise PreconditionViolated("max_transitions must be between 0 and 20")
 
 
 DEFAULT_CONFIG = GenConfig()
@@ -127,16 +126,16 @@ class TheoremReport:
 
 # --- generators ---------------------------------------------------------------
 
-def _rat(cfg: GenConfig, rng: random.Random, lo: int, hi: int) -> Fraction:
-    q = rng.randint(1, cfg.max_denominator)
+def _rat(rng: random.Random, lo: int, hi: int) -> Fraction:
+    q = rng.randint(1, MAX_DENOMINATOR)
     return Fraction(rng.randint(lo * q, hi * q), q)
 
 
-def gen_signal(cfg: GenConfig, rng: random.Random) -> Signal:
-    n = rng.randint(0, cfg.max_transitions)
+def gen_signal(rng: random.Random, max_transitions: int = MAX_TRANSITIONS) -> Signal:
+    n = rng.randint(0, max_transitions)
     times: set[Fraction] = set()
     while len(times) < n:
-        times.add(_rat(cfg, rng, -8, 24))
+        times.add(_rat(rng, -8, 24))
     initial = rng.randint(0, 1)
     v = initial
     pairs = []
@@ -146,32 +145,34 @@ def gen_signal(cfg: GenConfig, rng: random.Random) -> Signal:
     return Signal(initial, tuple(pairs))
 
 
-def gen_multisignal(cfg: GenConfig, m: int, rng: random.Random) -> MultiSignal:
-    return tuple(gen_signal(cfg, rng) for _ in range(m))
+def gen_multisignal(
+    m: int, rng: random.Random, max_transitions: int = MAX_TRANSITIONS
+) -> MultiSignal:
+    return tuple(gen_signal(rng, max_transitions) for _ in range(m))
 
 
-def gen_boolfn(cfg: GenConfig, m: int, rng: random.Random) -> BoolFn:
+def gen_boolfn(m: int, rng: random.Random) -> BoolFn:
     return BoolFn(m, tuple(rng.randint(0, 1) for _ in range(1 << m)))
 
 
-def gen_boolfn_pair_leq(cfg: GenConfig, m: int, rng: random.Random) -> tuple[BoolFn, BoolFn]:
+def gen_boolfn_pair_leq(m: int, rng: random.Random) -> tuple[BoolFn, BoolFn]:
     """(f, g) with f <= g pointwise, by masking g down to f."""
-    g = gen_boolfn(cfg, m, rng)
+    g = gen_boolfn(m, rng)
     f = BoolFn(m, tuple(b & rng.randint(0, 1) for b in g.table))
     return f, g
 
 
-def gen_blc_params(cfg: GenConfig, rng: random.Random) -> BlcParams:
-    m_r = _rat(cfg, rng, 0, 2)
-    m_f = _rat(cfg, rng, 0, 2)
-    return BlcParams(m_r, m_r + _rat(cfg, rng, 0, 2), m_f, m_f + _rat(cfg, rng, 0, 2))
+def gen_blc_params(rng: random.Random) -> BlcParams:
+    m_r = _rat(rng, 0, 2)
+    m_f = _rat(rng, 0, 2)
+    return BlcParams(m_r, m_r + _rat(rng, 0, 2), m_f, m_f + _rat(rng, 0, 2))
 
 
-def gen_aic_params(cfg: GenConfig, rng: random.Random) -> AicParams:
-    return AicParams(_rat(cfg, rng, 0, 2), _rat(cfg, rng, 0, 2))
+def gen_aic_params(rng: random.Random) -> AicParams:
+    return AicParams(_rat(rng, 0, 2), _rat(rng, 0, 2))
 
 
-def _gen_monotone_fn(cfg: GenConfig, m: int, rng: random.Random) -> BoolFn:
+def _gen_monotone_fn(m: int, rng: random.Random) -> BoolFn:
     table = [rng.randint(0, 1) for _ in range(1 << m)]
     for idx in range(1 << m):
         for bit in range(m):
@@ -180,65 +181,54 @@ def _gen_monotone_fn(cfg: GenConfig, m: int, rng: random.Random) -> BoolFn:
     return BoolFn(m, tuple(table))
 
 
-def _gen_valid_blc(
-    cfg: GenConfig, m: int, rng: random.Random
-) -> tuple[BoolFn, BoolFn, BlcParams]:
+def _gen_valid_blc(m: int, rng: random.Random) -> tuple[BoolFn, BoolFn, BlcParams]:
     for _ in range(80):
-        f, g = gen_boolfn_pair_leq(cfg, m, rng)
-        p = gen_blc_params(cfg, rng)
+        f, g = gen_boolfn_pair_leq(m, rng)
+        p = gen_blc_params(rng)
         if blc_valid(f, g, p):
             return f, g, p
     h = identity_fn() if m == 1 else proj_fn(m, 0)
     return h, h, BlcParams(1, 2, 1, 2)
 
 
-def _gen_overlap_params(cfg: GenConfig, rng: random.Random,
-                        m_f_cap: int | None = None) -> BlcParams:
+def _gen_overlap_params(rng: random.Random) -> BlcParams:
     """Parameters whose look-back windows overlap, hence valid for any f <= g."""
-    m_r = _rat(cfg, rng, 0, 2)
-    m_f = _rat(cfg, rng, 0, min(2, m_f_cap) if m_f_cap is not None else 2)
-    d_r = m_r + _rat(cfg, rng, 0, 2)
+    m_r = _rat(rng, 0, 2)
+    m_f = _rat(rng, 0, 2)
+    d_r = m_r + _rat(rng, 0, 2)
     lo = max(m_f, d_r - m_r)
-    d_f = lo + min(_rat(cfg, rng, 0, 2), m_r + d_r - lo) if m_r + d_r >= lo else None
+    d_f = lo + min(_rat(rng, 0, 2), m_r + d_r - lo) if m_r + d_r >= lo else None
     if d_f is None or not (d_r - m_r <= d_f and d_f - m_f <= d_r):
         return BlcParams(m_r, d_r, m_r, d_r)
     return BlcParams(m_r, d_r, m_f, d_f)
 
 
-def _gen_discriminating_pair(
-    cfg: GenConfig, m: int, rng: random.Random
-) -> tuple[BoolFn, BoolFn]:
+def _gen_discriminating_pair(m: int, rng: random.Random) -> tuple[BoolFn, BoolFn]:
     """f <= g with max f = 1 and min g = 0 (the non-separated shape)."""
     for _ in range(60):
-        f, g = gen_boolfn_pair_leq(cfg, m, rng)
+        f, g = gen_boolfn_pair_leq(m, rng)
         if max(f.table) == 1 and min(g.table) == 0:
             return f, g
     h = identity_fn() if m == 1 else proj_fn(m, 0)
     return h, h
 
 
-def _params_for(cfg: GenConfig, rng: random.Random, f: BoolFn, g: BoolFn) -> BlcParams:
+def _params_for(rng: random.Random, f: BoolFn, g: BoolFn) -> BlcParams:
     for _ in range(80):
-        p = gen_blc_params(cfg, rng)
+        p = gen_blc_params(rng)
         if blc_valid(f, g, p):
             return p
-    return _gen_overlap_params(cfg, rng)
+    return _gen_overlap_params(rng)
 
 
-def _member_or_random(i, u: MultiSignal, cfg: GenConfig, rng: random.Random) -> Signal:
+def _member_or_random(i, u: MultiSignal, rng: random.Random) -> Signal:
     if rng.random() < 0.5:
         try:
             xs = i.sample(u, 2, rng.randint(0, 1 << 20))
             return xs[rng.randrange(len(xs))]
         except SiglimError:
             pass
-    return gen_signal(cfg, rng)
-
-
-def _small(cfg: GenConfig, cap: int = 6) -> GenConfig:
-    if cfg.max_transitions <= cap:
-        return cfg
-    return replace(cfg, max_transitions=cap)
+    return gen_signal(rng)
 
 
 def _canonical_failure(y: Signal) -> str | None:
@@ -253,13 +243,13 @@ def _canonical_failure(y: Signal) -> str | None:
 
 # --- checks -------------------------------------------------------------------
 
-def _chk_1_9(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, cfg.max_arity)
-    u = gen_multisignal(cfg, m, rng)
-    f = gen_boolfn(cfg, m, rng)
-    d = _rat(cfg, rng, -3, 5)
-    w = _rat(cfg, rng, 0, 4)
-    mw = min(_rat(cfg, rng, 0, 4), w)
+def _chk_1_9(rng: random.Random) -> str | None:
+    m = rng.randint(1, MAX_DRAW_ARITY)
+    u = gen_multisignal(m, rng)
+    f = gen_boolfn(m, rng)
+    d = _rat(rng, -3, 5)
+    w = _rat(rng, 0, 4)
+    mw = min(_rat(rng, 0, 4), w)
     outs = [
         ("translate", translate(u[0], d)),
         ("apply_fn", apply_fn(f, u)),
@@ -273,29 +263,29 @@ def _chk_1_9(cfg: GenConfig, rng: random.Random) -> str | None:
     return None
 
 
-def _chk_2_4a(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, cfg.max_arity)
-    f = gen_boolfn(cfg, m, rng)
-    u = gen_multisignal(cfg, m, rng)
+def _chk_2_4a(rng: random.Random) -> str | None:
+    m = rng.randint(1, MAX_DRAW_ARITY)
+    f = gen_boolfn(m, rng)
+    u = gen_multisignal(m, rng)
     i, s = scf(f), sc()
     fu = apply_fn(f, u)
-    xs = [gen_signal(cfg, rng)] + i.sample(u, 2, rng.randint(0, 1 << 20))
+    xs = [gen_signal(rng)] + i.sample(u, 2, rng.randint(0, 1 << 20))
     for x in xs:
         if i.contains(u, x) != s.contains((fu,), x):
             return f"f={f.bits()} u={u!r} x={x!r}"
     return None
 
 
-def _chk_2_4b(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(2, max(2, cfg.max_arity))
-    v = gen_signal(cfg, rng)
+def _chk_2_4b(rng: random.Random) -> str | None:
+    m = rng.randint(2, MAX_DRAW_ARITY)
+    v = gen_signal(rng)
     i, s = mc(m), sc()
     same = (v,) * m
-    xs = [gen_signal(cfg, rng)] + i.sample(same, 2, rng.randint(0, 1 << 20))
+    xs = [gen_signal(rng)] + i.sample(same, 2, rng.randint(0, 1 << 20))
     for x in xs:
         if i.contains(same, x) != s.contains((v,), x):
             return f"equal-inputs case: v={v!r} x={x!r}"
-    u = gen_multisignal(cfg, m, rng)
+    u = gen_multisignal(m, rng)
     p = rng.randrange(m)
     for x in s.sample((u[p],), 2, rng.randint(0, 1 << 20)):
         if s.contains((u[p],), x) == 1 and i.contains(u, x) != 1:
@@ -303,8 +293,8 @@ def _chk_2_4b(cfg: GenConfig, rng: random.Random) -> str | None:
     return None
 
 
-def _chk_2_4c(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(2, max(2, cfg.max_arity))
+def _chk_2_4c(rng: random.Random) -> str | None:
+    m = rng.randint(2, MAX_DRAW_ARITY)
     land, lor = and_fn(m), or_fn(m)
     table = []
     for a in land.inputs():
@@ -315,24 +305,24 @@ def _chk_2_4c(cfg: GenConfig, rng: random.Random) -> str | None:
         if not land(*a) <= f(*a) <= lor(*a):
             return f"hypothesis violated at {a} for f={f.bits()}"
     i, j = scf(f), mc(m)
-    u = gen_multisignal(cfg, m, rng)
-    xs = i.sample(u, 2, rng.randint(0, 1 << 20)) + [gen_signal(cfg, rng)]
+    u = gen_multisignal(m, rng)
+    xs = i.sample(u, 2, rng.randint(0, 1 << 20)) + [gen_signal(rng)]
     for x in xs:
         if i.contains(u, x) == 1 and j.contains(u, x) != 1:
             return f"f={f.bits()} u={u!r} x={x!r}"
     return None
 
 
-def _chk_3_4(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
-    f, g, p = _gen_valid_blc(cfg, m, rng)
+def _chk_3_4(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
+    f, g, p = _gen_valid_blc(m, rng)
     i = sol(f, g)
     j = blc(f, g, p)
     both = lc_meet(j, i)
     either = lc_join(i, j)
-    u = gen_multisignal(_small(cfg), m, rng)
+    u = gen_multisignal(m, rng, 6)
     seed = rng.randint(0, 1 << 20)
-    xs = [gen_signal(cfg, rng)] + both.sample(u, 2, seed) + either.sample(u, 2, seed)
+    xs = [gen_signal(rng)] + both.sample(u, 2, seed) + either.sample(u, 2, seed)
     for x in xs:
         want_meet = i.contains(u, x) & j.contains(u, x)
         want_join = i.contains(u, x) | j.contains(u, x)
@@ -353,27 +343,27 @@ def _chk_3_4(cfg: GenConfig, rng: random.Random) -> str | None:
     return None
 
 
-def _chk_3_5(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
+def _chk_3_5(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
     if rng.random() < 0.5:
-        f, g, p = _gen_valid_blc(cfg, m, rng)
+        f, g, p = _gen_valid_blc(m, rng)
         i = blc(f, g, p)
     else:
-        i = flc(gen_boolfn(cfg, m, rng), _rat(cfg, rng, 0, 3))
-    u = gen_multisignal(cfg, m, rng)
-    x = _member_or_random(i, u, cfg, rng)
-    d = _rat(cfg, rng, 0, 4)
+        i = flc(gen_boolfn(m, rng), _rat(rng, 0, 3))
+    u = gen_multisignal(m, rng)
+    x = _member_or_random(i, u, rng)
+    d = _rat(rng, 0, 4)
     if check_time_invariance(i, u, x, d) != 1:
         return f"kind={i.kind} u={u!r} x={x!r} d={d}"
     return None
 
 
-def _chk_3_10(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
-    f = _gen_monotone_fn(cfg, m, rng)
+def _chk_3_10(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
+    f = _gen_monotone_fn(m, rng)
     g = BoolFn(m, tuple(b | rng.randint(0, 1) for b in f.table))
     arities = [rng.randint(1, 2) for _ in range(m)]
-    inner = [gen_boolfn_pair_leq(cfg, n, rng) for n in arities]
+    inner = [gen_boolfn_pair_leq(n, rng) for n in arities]
     F = fn_compose(f, [fi for fi, _ in inner])
     G = fn_compose(g, [gi for _, gi in inner])
     for a in F.inputs():
@@ -382,37 +372,37 @@ def _chk_3_10(cfg: GenConfig, rng: random.Random) -> str | None:
     i = sol(f, g)
     js = [sol(fi, gi) for fi, gi in inner]
     k = serial(i, js)
-    u = gen_multisignal(_small(cfg), sum(arities), rng)
+    u = gen_multisignal(sum(arities), rng, 6)
     for x in k.sample(u, 2, rng.randint(0, 1 << 20)):
         if not sol_contains(F, G, u, x):
             return f"chain member outside the composed sandwich: u={u!r} x={x!r}"
-    d, d2 = _rat(cfg, rng, 0, 2), _rat(cfg, rng, 0, 2)
+    d, d2 = _rat(rng, 0, 2), _rat(rng, 0, 2)
     k2 = serial(flc(f, d), [flc(fi, d2) for fi, _ in inner])
     if check_deterministic(k2, [u], CHECK_BUDGET) != 1:
         return f"deterministic stages produced a non-deterministic chain: u={u!r}"
     return None
 
 
-def _chk_3_12(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
-    f, g, p = _gen_valid_blc(cfg, m, rng)
+def _chk_3_12(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
+    f, g, p = _gen_valid_blc(m, rng)
     j = sol(f, g)
     i = blc(f, g, p)
-    i2 = blc(f, g, _gen_overlap_params(cfg, rng))
-    hs = [gen_boolfn(cfg, 1, rng) for _ in range(m)]
-    d2 = _rat(cfg, rng, 0, 2)
-    d3 = _rat(cfg, rng, 0, 2)
+    i2 = blc(f, g, _gen_overlap_params(rng))
+    hs = [gen_boolfn(1, rng) for _ in range(m)]
+    d2 = _rat(rng, 0, 2)
+    d3 = _rat(rng, 0, 2)
     ks = [flc(h, d2) for h in hs]
     ls = [flc(h, d3) for h in hs]
-    u = gen_multisignal(_small(cfg), m, rng)
+    u = gen_multisignal(m, rng, 6)
     ys = tuple(k.sample((u[q],), 1, 0)[0] for q, k in enumerate(ks))
     seed = rng.randint(0, 1 << 20)
-    xs = [gen_signal(cfg, rng)] + i.sample(ys, 2, seed)
+    xs = [gen_signal(rng)] + i.sample(ys, 2, seed)
 
     def bit(outer, inners, x):
         return serial_membership(outer, inners, u, x, CHECK_BUDGET, seed)[0]
 
-    a = AicParams(_rat(cfg, rng, 0, 1), _rat(cfg, rng, 0, 1))
+    a = AicParams(_rat(rng, 0, 1), _rat(rng, 0, 1))
     V = aic_set(a)
     iv = lc_meet_set(i, V)
     ir = lc_restrict(i, [V] * m)
@@ -444,22 +434,22 @@ def _chk_3_12(cfg: GenConfig, rng: random.Random) -> str | None:
     return None
 
 
-def _chk_4_1(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
+def _chk_4_1(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
     if rng.random() < 0.5:
-        f, g = gen_boolfn_pair_leq(cfg, m, rng)
-        p = _gen_overlap_params(cfg, rng)
+        f, g = gen_boolfn_pair_leq(m, rng)
+        p = _gen_overlap_params(rng)
         if not blc_valid(f, g, p):
             return f"overlap construction judged invalid: p={p}"
         for s in range(10):
-            u = gen_multisignal(_small(cfg), m, rng)
+            u = gen_multisignal(m, rng, 6)
             lo, hi = envelopes(f, g, p, u)
             if not signal_leq(lo, hi):
                 return f"valid params but lower exceeds upper: p={p} u={u!r}"
     else:
-        f, g = _gen_discriminating_pair(cfg, m, rng)
-        m_r, m_f = _rat(cfg, rng, 0, 2), _rat(cfg, rng, 0, 2)
-        d_f = m_f + _rat(cfg, rng, 0, 2)
+        f, g = _gen_discriminating_pair(m, rng)
+        m_r, m_f = _rat(rng, 0, 2), _rat(rng, 0, 2)
+        d_f = m_f + _rat(rng, 0, 2)
         p = BlcParams(m_r, m_r + m_f + d_f + 1, m_f, d_f)
         if blc_valid(f, g, p):
             return f"construction failed to produce invalid params: p={p}"
@@ -473,9 +463,9 @@ def _chk_4_1(cfg: GenConfig, rng: random.Random) -> str | None:
     return None
 
 
-def _chk_4_3(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
-    f, g, p = _gen_valid_blc(cfg, m, rng)
+def _chk_4_3(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
+    f, g, p = _gen_valid_blc(m, rng)
     if rng.random() < 0.3:
         p = BlcParams(0, p.d_r, 0, p.d_r)
     if rng.random() < 0.3:
@@ -484,7 +474,7 @@ def _chk_4_3(cfg: GenConfig, rng: random.Random) -> str | None:
         return None
     det, d = blc_is_deterministic(f, g, p)
     i = blc(f, g, p)
-    us = probe_inputs(f, g, p) + [gen_multisignal(_small(cfg), m, rng)]
+    us = probe_inputs(f, g, p) + [gen_multisignal(m, rng, 6)]
     searched = check_deterministic(i, us, CHECK_BUDGET)
     if searched != det:
         return f"criterion {det} vs search {searched}: f={f.bits()} g={g.bits()} p={p}"
@@ -497,26 +487,26 @@ def _chk_4_3(cfg: GenConfig, rng: random.Random) -> str | None:
     return None
 
 
-def _chk_4_4(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
+def _chk_4_4(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
     if rng.random() < 0.5:
-        f, g, p = _gen_valid_blc(cfg, m, rng)
+        f, g, p = _gen_valid_blc(m, rng)
         f2 = BoolFn(m, tuple(b & rng.randint(0, 1) for b in f.table))
         g2 = BoolFn(m, tuple(b | rng.randint(0, 1) for b in g.table))
-        e_d = _rat(cfg, rng, 0, 1)
+        e_d = _rat(rng, 0, 1)
         slack = min(p.d_r - p.m_r, p.d_f - p.m_f)
-        e_m = e_d + min(_rat(cfg, rng, 0, 1), slack)
+        e_m = e_d + min(_rat(rng, 0, 1), slack)
         p2 = BlcParams(p.m_r + e_m, p.d_r + e_d, p.m_f + e_m, p.d_f + e_d)
     else:
-        f, g, p = _gen_valid_blc(cfg, m, rng)
-        f2, g2 = gen_boolfn_pair_leq(cfg, m, rng)
-        p2 = gen_blc_params(cfg, rng)
+        f, g, p = _gen_valid_blc(m, rng)
+        f2, g2 = gen_boolfn_pair_leq(m, rng)
+        p2 = gen_blc_params(rng)
     if not (blc_valid(f, g, p) and blc_valid(f2, g2, p2)):
         return None
     inc = blc_included(f, g, p, f2, g2, p2)
     narrow, wide = blc(f, g, p), blc(f2, g2, p2)
     if inc:
-        us = probe_inputs(f, g, p) + [gen_multisignal(_small(cfg), m, rng)]
+        us = probe_inputs(f, g, p) + [gen_multisignal(m, rng, 6)]
         for u in us:
             lo, hi = envelopes(f, g, p, u)
             for x in (lo, hi, *narrow.sample(u, 2, rng.randint(0, 1 << 20))):
@@ -546,31 +536,31 @@ def _chk_4_4(cfg: GenConfig, rng: random.Random) -> str | None:
             f"f={f.bits()} g={g.bits()} p={p} f'={f2.bits()} g'={g2.bits()} p'={p2}")
 
 
-def _chk_4_5(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
-    f, g, p = _gen_valid_blc(cfg, m, rng)
+def _chk_4_5(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
+    f, g, p = _gen_valid_blc(m, rng)
     i = blc(f, g, p)
-    u = gen_multisignal(cfg, m, rng)
-    x = _member_or_random(i, u, cfg, rng)
-    d = _rat(cfg, rng, 0, 4)
+    u = gen_multisignal(m, rng)
+    x = _member_or_random(i, u, rng)
+    d = _rat(rng, 0, 4)
     if check_time_invariance(i, u, x, d) != 1:
         return f"f={f.bits()} g={g.bits()} p={p} u={u!r} x={x!r} d={d}"
     return None
 
 
-def _chk_4_6(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(2, max(2, min(3, cfg.max_arity)))
+def _chk_4_6(rng: random.Random) -> str | None:
+    m = rng.randint(2, 3)
     if rng.random() < 0.25:
         f, g = and_fn(m), or_fn(m)
     else:
-        f, g = gen_boolfn_pair_leq(cfg, m, rng)
-    p = _params_for(cfg, rng, f, g)
+        f, g = gen_boolfn_pair_leq(m, rng)
+    p = _params_for(rng, f, g)
     i = blc(f, g, p)
     crit = blc_symmetric_usual(f, g)
     if crit:
         sigma = list(rng.sample(range(m), m))
-        u = gen_multisignal(_small(cfg), m, rng)
-        x = _member_or_random(i, u, cfg, rng)
+        u = gen_multisignal(m, rng, 6)
+        x = _member_or_random(i, u, rng)
         if check_symmetry_usual(i, u, x, sigma) != 1:
             return f"symmetric fns but behaviour differs: sigma={sigma} u={u!r} x={x!r}"
         return None
@@ -586,13 +576,13 @@ def _chk_4_6(cfg: GenConfig, rng: random.Random) -> str | None:
     return f"asymmetric fns but no behavioural witness: f={f.bits()} g={g.bits()}"
 
 
-def _chk_4_7(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
+def _chk_4_7(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
     if rng.random() < 0.3 and m == 2:
         f, g = and_fn(2), or_fn(2)
     else:
-        f, g = gen_boolfn_pair_leq(cfg, m, rng)
-    p = _params_for(cfg, rng, f, g)
+        f, g = gen_boolfn_pair_leq(m, rng)
+    p = _params_for(rng, f, g)
     if rng.random() < 0.3:
         # matching the two sides keeps validity: the overlap inequalities
         # become d - m <= d on both sides
@@ -600,8 +590,8 @@ def _chk_4_7(cfg: GenConfig, rng: random.Random) -> str | None:
     crit = blc_symmetric_rf(f, g, p)
     i = blc(f, g, p)
     if crit:
-        u = gen_multisignal(_small(cfg), m, rng)
-        x = _member_or_random(i, u, cfg, rng)
+        u = gen_multisignal(m, rng, 6)
+        x = _member_or_random(i, u, rng)
         if check_symmetry_rf(i, u, x) != 1:
             return f"criterion true but behaviour differs: u={u!r} x={x!r}"
         return None
@@ -634,7 +624,7 @@ def _chk_4_7(cfg: GenConfig, rng: random.Random) -> str | None:
     return f"criterion false but no behavioural witness: f={f.bits()} g={g.bits()} p={p}"
 
 
-def _fn_menu(cfg: GenConfig, m: int, rng: random.Random) -> tuple[BoolFn, BoolFn]:
+def _fn_menu(m: int, rng: random.Random) -> tuple[BoolFn, BoolFn]:
     """Pairs f <= g that distribute over the window operators."""
     q = rng.randrange(m)
     choices = [(and_fn(m), or_fn(m)), (proj_fn(m, q), proj_fn(m, q)),
@@ -644,21 +634,21 @@ def _fn_menu(cfg: GenConfig, m: int, rng: random.Random) -> tuple[BoolFn, BoolFn
     return choices[rng.randrange(len(choices))]
 
 
-def _chk_4_8(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
-    f, g = _fn_menu(cfg, m, rng)
+def _chk_4_8(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
+    f, g = _fn_menu(m, rng)
     arities = [1] * m if m > 1 else [rng.randint(1, 2)]
-    inner = [gen_boolfn_pair_leq(cfg, n, rng) for n in arities]
-    p = _gen_overlap_params(cfg, rng)
-    p2 = _gen_overlap_params(cfg, rng)
+    inner = [gen_boolfn_pair_leq(n, rng) for n in arities]
+    p = _gen_overlap_params(rng)
+    p2 = _gen_overlap_params(rng)
     try:
         composed = blc_compose(f, g, p, inner, p2)
     except SiglimError as e:
         return f"closed form rejected a conforming instance: {e}"
     if composed.params != p + p2:
         return f"composed parameters {composed.params} differ from {p + p2}"
-    u = gen_multisignal(_small(cfg), sum(arities), rng)
-    x = _member_or_random(composed, u, cfg, rng)
+    u = gen_multisignal(sum(arities), rng, 6)
+    x = _member_or_random(composed, u, rng)
     outer = blc(f, g, p)
     inners = [blc(fi, gi, p2) for fi, gi in inner]
     cbit = composed.contains(u, x)
@@ -672,19 +662,19 @@ def _chk_4_8(cfg: GenConfig, rng: random.Random) -> str | None:
     return None
 
 
-def _chk_5_2(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
-    h = gen_boolfn(cfg, m, rng)
+def _chk_5_2(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
+    h = gen_boolfn(m, rng)
     arities = [rng.randint(1, 2) for _ in range(m)]
-    hs = [gen_boolfn(cfg, n, rng) for n in arities]
-    d, d2 = _rat(cfg, rng, 0, 3), _rat(cfg, rng, 0, 3)
+    hs = [gen_boolfn(n, rng) for n in arities]
+    d, d2 = _rat(rng, 0, 3), _rat(rng, 0, 3)
     k = serial(flc(h, d), [flc(hp, d2) for hp in hs])
     if k.kind != "flc":
         return f"chain of fixed delays did not close: kind={k.kind}"
     H = fn_compose(h, hs)
     if k.delay != d + d2 or k.fn.table != H.table:
         return f"closed form carries fn={k.fn.bits()} delay={k.delay}"
-    u = gen_multisignal(cfg, sum(arities), rng)
+    u = gen_multisignal(sum(arities), rng)
     want = apply_fn(H, translate_all(u, d + d2))
     if k.sample(u, 1, 0)[0] != want:
         return f"chain output differs at u={u!r}"
@@ -693,7 +683,7 @@ def _chk_5_2(cfg: GenConfig, rng: random.Random) -> str | None:
     return None
 
 
-def _feasible_aic(cfg: GenConfig, p: BlcParams, rng: random.Random) -> AicParams:
+def _feasible_aic(p: BlcParams, rng: random.Random) -> AicParams:
     msum = p.m_r + p.m_f
     if msum == 0:
         return AicParams(0, 0)
@@ -702,18 +692,18 @@ def _feasible_aic(cfg: GenConfig, p: BlcParams, rng: random.Random) -> AicParams
     return AicParams(cut * split, cut * (1 - split))
 
 
-def _chk_6_3(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
-    f, g = _gen_discriminating_pair(cfg, m, rng)
-    p = _gen_overlap_params(cfg, rng)
-    a = _feasible_aic(cfg, p, rng)
+def _chk_6_3(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
+    f, g = _gen_discriminating_pair(m, rng)
+    p = _gen_overlap_params(rng)
+    a = _feasible_aic(p, rng)
     i = blc(f, g, p)
     combined = bailc(f, g, p, a)
     met = lc_meet_set(i, aic_set(a))
-    u = gen_multisignal(_small(cfg), m, rng)
+    u = gen_multisignal(m, rng, 6)
     seed = rng.randint(0, 1 << 20)
     lo, hi = envelopes(f, g, p, u)
-    xs = [gen_signal(cfg, rng), lo, hi] + combined.sample(u, 2, seed) + met.sample(u, 2, seed)
+    xs = [gen_signal(rng), lo, hi] + combined.sample(u, 2, seed) + met.sample(u, 2, seed)
     for x in xs:
         if met.contains(u, x) != combined.contains(u, x):
             return f"meet and combined model disagree: u={u!r} x={x!r}"
@@ -750,26 +740,26 @@ def _square_wave_input(
     return pattern_input(f.arity, zeros[0], ones[0], s)
 
 
-def _chk_6_4(cfg: GenConfig, rng: random.Random) -> str | None:
-    m = rng.randint(1, min(2, cfg.max_arity))
+def _chk_6_4(rng: random.Random) -> str | None:
+    m = rng.randint(1, 2)
     if rng.random() < 0.15:
         f = BoolFn(m, (0,) * (1 << m))
         g = BoolFn(m, tuple(rng.randint(0, 1) for _ in range(1 << m)))
     else:
-        f, g = _gen_discriminating_pair(cfg, m, rng)
+        f, g = _gen_discriminating_pair(m, rng)
     separated = max(f.table) <= min(g.table)
     if rng.random() < 0.5 or separated:
-        p = _gen_overlap_params(cfg, rng)
-        a = _feasible_aic(cfg, p, rng) if not separated else gen_aic_params(cfg, rng)
+        p = _gen_overlap_params(rng)
+        a = _feasible_aic(p, rng) if not separated else gen_aic_params(rng)
         if bailc_nonempty(f, g, p, a) != 1:
             return f"criterion rejected a feasible instance: p={p} a={a}"
-        u = gen_multisignal(_small(cfg), m, rng)
+        u = gen_multisignal(m, rng, 6)
         x = search_between(*envelopes(f, g, p, u), a, CHECK_BUDGET, rng.randint(0, 1 << 20))
         if x is None:
             return f"criterion true but search failed: f={f.bits()} g={g.bits()} p={p} a={a} u={u!r}"
     else:
-        m_r, m_f = _rat(cfg, rng, 0, 2), _rat(cfg, rng, 0, 2)
-        d = max(m_r, m_f) + _rat(cfg, rng, 0, 2)
+        m_r, m_f = _rat(rng, 0, 2), _rat(rng, 0, 2)
+        d = max(m_r, m_f) + _rat(rng, 0, 2)
         p = BlcParams(m_r, d, m_f, d)
         msum = p.m_r + p.m_f
         eta = Fraction(rng.randint(1, 4), 4)
@@ -803,20 +793,18 @@ class _DwellChain:
     detail: str
 
 
-def _draw_dwell_chain(
-    cfg: GenConfig, rng: random.Random, zero_inner: bool = False
-) -> _DwellChain | str:
+def _draw_dwell_chain(rng: random.Random, zero_inner: bool = False) -> _DwellChain | str:
     """The instance, or the reason the summed form rejected it.
 
     zero_inner replaces the inner dwell with AicParams(0, 0), the exact case,
     after it is drawn, so the rng is consumed as without it."""
-    m = 1 if rng.random() < 0.7 else min(2, cfg.max_arity)
-    f, g = _fn_menu(cfg, m, rng)
-    inner = [gen_boolfn_pair_leq(cfg, 1, rng) for _ in range(m)]
-    p = _gen_overlap_params(cfg, rng)
-    p2 = _gen_overlap_params(cfg, rng)
-    a = _feasible_aic(cfg, p, rng)
-    a2 = _feasible_aic(cfg, p2, rng)
+    m = 1 if rng.random() < 0.7 else 2
+    f, g = _fn_menu(m, rng)
+    inner = [gen_boolfn_pair_leq(1, rng) for _ in range(m)]
+    p = _gen_overlap_params(rng)
+    p2 = _gen_overlap_params(rng)
+    a = _feasible_aic(p, rng)
+    a2 = _feasible_aic(p2, rng)
     if zero_inner:
         a2 = AicParams(0, 0)
     try:
@@ -825,8 +813,8 @@ def _draw_dwell_chain(
         return f"closed form rejected a conforming instance: {e}"
     if composed.params != p + p2 or composed.aic != a:
         return "composed parameters are not the summed windows with the outer dwell"
-    u = gen_multisignal(_small(cfg, 4), m, rng)
-    x = _member_or_random(composed, u, cfg, rng)
+    u = gen_multisignal(m, rng, 4)
+    x = _member_or_random(composed, u, rng)
     outer = bailc(f, g, p, a)
     inners = [bailc(fi, gi, p2, a2) for fi, gi in inner]
     return _DwellChain(outer, inners, composed, a2, u, x, rng.randint(0, 1 << 20),
@@ -839,8 +827,8 @@ def _dwell_chain_bits(c: _DwellChain) -> tuple[Bit, Bit, bool]:
     return c.composed.contains(c.u, c.x), obit, exhausted
 
 
-def _chk_6_6(cfg: GenConfig, rng: random.Random) -> str | None:
-    c = _draw_dwell_chain(cfg, rng)
+def _chk_6_6(rng: random.Random) -> str | None:
+    c = _draw_dwell_chain(rng)
     if isinstance(c, str):
         return c
     cbit, obit, exhausted = _dwell_chain_bits(c)
@@ -851,9 +839,9 @@ def _chk_6_6(cfg: GenConfig, rng: random.Random) -> str | None:
     return None
 
 
-def _chk_6_6s(cfg: GenConfig, rng: random.Random) -> str | None:
+def _chk_6_6s(rng: random.Random) -> str | None:
     # half the instances take zero inner dwell, so the exact case is not rare
-    c = _draw_dwell_chain(cfg, rng, zero_inner=rng.random() < 0.5)
+    c = _draw_dwell_chain(rng, zero_inner=rng.random() < 0.5)
     if isinstance(c, str):
         return c
     k = serial(c.outer, c.inners)
@@ -874,7 +862,7 @@ def _chk_6_6s(cfg: GenConfig, rng: random.Random) -> str | None:
 
 # --- registry -----------------------------------------------------------------
 
-Check = Callable[[GenConfig, random.Random], "str | None"]
+Check = Callable[[random.Random], "str | None"]
 
 _REGISTRY: dict[str, tuple[str, Check]] = {
     "1.9": ("signal operations return canonical finite signals", _chk_1_9),
@@ -930,7 +918,7 @@ def replay_case(theorem_id: str, cfg: GenConfig, case: int) -> str | None:
         raise UnknownTheorem(f"no check registered under {theorem_id!r}")
     _, check = _REGISTRY[theorem_id]
     try:
-        return check(cfg, random.Random(f"{cfg.seed}:{theorem_id}:{case}"))
+        return check(random.Random(f"{cfg.seed}:{theorem_id}:{case}"))
     except SiglimError as e:
         return f"unexpected error {type(e).__name__}: {e}"
 

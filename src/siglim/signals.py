@@ -290,7 +290,7 @@ def combine(op: Callable[..., int], *signals: Signal) -> Signal:
 
 
 def values_along(u: Sequence[Signal], times: Iterable[Time]) -> list[tuple[Bit, ...]]:
-    """`values_at(u, t)` for each of the ascending times, in one walk.
+    """The signals' values at each of the ascending times, in one walk.
 
     The cost is linear in the number of times plus transitions.
     """
@@ -308,27 +308,6 @@ def values_along(u: Sequence[Signal], times: Iterable[Time]) -> list[tuple[Bit, 
     return out
 
 
-_UNARY = {"not": lambda a: 1 - a}
-_BINARY = {
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-}
-
-
-def pointwise(op: str, x: Signal, y: Signal | None = None) -> Signal:
-    """Named pointwise operation: "not", "and", "or" or "xor"."""
-    if op in _UNARY:
-        if y is not None:
-            raise ArityMismatch(f"{op!r} takes one signal")
-        return combine(_UNARY[op], x)
-    if op in _BINARY:
-        if y is None:
-            raise ArityMismatch(f"{op!r} takes two signals")
-        return combine(_BINARY[op], x, y)
-    raise PreconditionViolated(f"unknown pointwise operation {op!r}")
-
-
 def translate(x: Signal, d: Time | int) -> Signal:
     """Retard x by d: the result at t equals x at t - d.  d may be negative."""
     d = as_time(d)
@@ -339,10 +318,6 @@ def translate(x: Signal, d: Time | int) -> Signal:
 
 def translate_all(u: MultiSignal, d: Time | int) -> MultiSignal:
     return tuple(translate(x, d) for x in u)
-
-
-def values_at(u: MultiSignal, t: Time | int) -> tuple[Bit, ...]:
-    return tuple(x.value_at(t) for x in u)
 
 
 def _check_window(d: Time | int, m: Time | int) -> tuple[Time, Time]:
@@ -359,26 +334,12 @@ def window_all(x: Signal, d: Time | int, m: Time | int) -> Signal:
     exactly translate(x, d).
     """
     d, m = _check_window(d, m)
-    return _erode(x, d, m)
+    return _shrink(x, d, m, 1)
 
 
 def window_any(x: Signal, d: Time | int, m: Time | int) -> Signal:
     """1 at t iff x is 1 somewhere in the closed window [t - d, t - d + m]."""
     d, m = _check_window(d, m)
-    return _dilate(x, d, m)
-
-
-def _erode(x: Signal, d: Time, m: Time) -> Signal:
-    """Windowed conjunction without the 0 <= m <= d validation.
-
-    A maximal 1-run [a, b) contains the closed window [t-d, t-d+m] iff
-    a + d <= t < b + d - m, so each 1-run shifts by d and loses m at its end.
-    """
-    return _shrink(x, d, m, 1)
-
-
-def _dilate(x: Signal, d: Time, m: Time) -> Signal:
-    """Windowed disjunction without validation: the erosion of the 0-runs."""
     return _shrink(x, d, m, 0)
 
 
@@ -386,7 +347,12 @@ def _shrink(x: Signal, d: Time, m: Time, b: Bit) -> Signal:
     """x retarded by d with every b-run shortened by m, in one pass.
 
     Edges into b move by d and edges out of b by d - m; a b-run no longer
-    than m vanishes together with its two edges.  d may be negative.
+    than m vanishes together with its two edges.  d may be negative, and
+    0 <= m <= d is not checked.  With b = 1 this is the windowed
+    conjunction: a maximal 1-run [s, e) contains the closed window
+    [t-d, t-d+m] iff s + d <= t < e + d - m, so each 1-run shifts by d and
+    loses m at its end.  With b = 0 it is the windowed disjunction, the same
+    erosion of the 0-runs.
     """
     scale = lcm(x.scale, d.denominator, m.denominator)
     f = scale // x.scale

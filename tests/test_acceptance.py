@@ -1,8 +1,9 @@
 """Acceptance gate: ten end-to-end criteria, each printed as one verdict line.
 
-Every comparison is exact (Fraction arithmetic, tolerance zero).  Counts and
-generator settings follow the default GenConfig.  Run with -s to see the
-verdict lines on success; pytest shows them on failure regardless.
+Every comparison is exact (Fraction arithmetic, tolerance zero).  Counts
+follow the default GenConfig, and draws use the generators and bounds of
+siglim.props.  Run with -s to see the verdict lines on success; pytest shows
+them on failure regardless.
 """
 import random
 from dataclasses import replace
@@ -93,9 +94,9 @@ def test_criterion_01_windows_match_pointwise_oracle():
     mismatches = 0
     for k in range(CFG.cases):
         rng = _rng("accept1", k)
-        x = P.gen_signal(CFG, rng)
-        m = P._rat(CFG, rng, 0, 2)
-        d = m + P._rat(CFG, rng, 0, 2)
+        x = P.gen_signal(rng)
+        m = P._rat(rng, 0, 2)
+        d = m + P._rat(rng, 0, 2)
         got_all, got_any = window_all(x, d, m), window_any(x, d, m)
         for t in window_probe_times(x, d, m):
             if got_all.value_at(t) != window_all_bit(x, d, m, t):
@@ -130,13 +131,13 @@ def test_criterion_02_operator_outputs_stay_canonical():
     bad = 0
     for k in range(CFG.cases):
         rng = _rng("accept2", k)
-        x = P.gen_signal(CFG, rng)
-        shift = P._rat(CFG, rng, -4, 4)
-        m = P._rat(CFG, rng, 0, 2)
-        d = m + P._rat(CFG, rng, 0, 2)
-        arity = rng.randint(1, CFG.max_arity)
-        fn = P.gen_boolfn(CFG, arity, rng)
-        u = P.gen_multisignal(CFG, arity, rng)
+        x = P.gen_signal(rng)
+        shift = P._rat(rng, -4, 4)
+        m = P._rat(rng, 0, 2)
+        d = m + P._rat(rng, 0, 2)
+        arity = rng.randint(1, 3)
+        fn = P.gen_boolfn(arity, rng)
+        u = P.gen_multisignal(arity, rng)
         outputs = (translate(x, shift), window_all(x, d, m),
                    window_any(x, d, m), apply_fn(fn, u))
         bad += sum(1 for y in outputs if _noncanonical(y) is not None)
@@ -158,13 +159,13 @@ def test_criterion_04_envelope_order_iff_valid():
     for k in range(200):
         rng = _rng("accept4v", k)
         m = rng.randint(1, 2)
-        f, g = P.gen_boolfn_pair_leq(CFG, m, rng)
-        p = P._gen_overlap_params(CFG, rng)
+        f, g = P.gen_boolfn_pair_leq(m, rng)
+        p = P._gen_overlap_params(rng)
         if blc_valid(f, g, p) != 1:
             bad_valid += 1
             continue
         for _ in range(10):
-            u = P.gen_multisignal(P._small(CFG), m, rng)
+            u = P.gen_multisignal(m, rng, 6)
             lo, hi = envelopes(f, g, p, u)
             if not signal_leq(lo, hi):
                 bad_valid += 1
@@ -172,9 +173,9 @@ def test_criterion_04_envelope_order_iff_valid():
     for k in range(200):
         rng = _rng("accept4i", k)
         m = rng.randint(1, 2)
-        f, g = P._gen_discriminating_pair(CFG, m, rng)
-        m_r, m_f = P._rat(CFG, rng, 0, 2), P._rat(CFG, rng, 0, 2)
-        d_f = m_f + P._rat(CFG, rng, 0, 2)
+        f, g = P._gen_discriminating_pair(m, rng)
+        m_r, m_f = P._rat(rng, 0, 2), P._rat(rng, 0, 2)
+        d_f = m_f + P._rat(rng, 0, 2)
         p = BlcParams(m_r, m_r + m_f + d_f + 1, m_f, d_f)
         if blc_valid(f, g, p) == 1:
             bad_invalid += 1
@@ -198,7 +199,7 @@ def test_criterion_05_determinism_criterion_matches_search():
         rng = _rng("accept5", k)
         k += 1
         m = rng.randint(1, 2)
-        f, g, p = P._gen_valid_blc(CFG, m, rng)
+        f, g, p = P._gen_valid_blc(m, rng)
         if rng.random() < 0.3:
             p = BlcParams(0, p.d_r, 0, p.d_r)
         if rng.random() < 0.3:
@@ -208,7 +209,7 @@ def test_criterion_05_determinism_criterion_matches_search():
         done += 1
         det, d = blc_is_deterministic(f, g, p)
         i = blc(f, g, p)
-        us = probe_inputs(f, g, p) + [P.gen_multisignal(P._small(CFG), m, rng)]
+        us = probe_inputs(f, g, p) + [P.gen_multisignal(m, rng, 6)]
         if check_deterministic(i, us, CHECK_BUDGET) != det:
             bad += 1
             continue
@@ -258,16 +259,16 @@ def test_criterion_09_dwell_rule_matches_pointwise_oracle():
     mismatches = 0
     for k in range(CFG.cases):
         rng = _rng("accept9", k)
-        x = P.gen_signal(CFG, rng)
-        dr, df = P._rat(CFG, rng, 0, 2), P._rat(CFG, rng, 0, 2)
+        x = P.gen_signal(rng)
+        dr, df = P._rat(rng, 0, 2), P._rat(rng, 0, 2)
         if aic_contains(x, aic_params(dr, df)) != aic_bit(x, dr, df):
             mismatches += 1
     boundary_bad = 0
     for k in range(50):
         rng = _rng("accept9b", k)
-        s = P._rat(CFG, rng, -4, 4)
-        delta = F(rng.randint(1, 16), rng.randint(1, CFG.max_denominator))
-        other = P._rat(CFG, rng, 0, 2)
+        s = P._rat(rng, -4, 4)
+        delta = F(rng.randint(1, 16), rng.randint(1, P.MAX_DENOMINATOR))
+        other = P._rat(rng, 0, 2)
         wave = pulse(s, s + delta)  # high run of width exactly delta
         if aic_contains(wave, aic_params(delta, other)) != 0:
             boundary_bad += 1
@@ -293,30 +294,30 @@ def _random_model(rng: random.Random):
     if kind == "mc":
         return mc(rng.randint(2, 3))
     if kind == "scf":
-        return scf(P.gen_boolfn(CFG, m, rng))
+        return scf(P.gen_boolfn(m, rng))
     if kind == "sol":
-        return sol(*P.gen_boolfn_pair_leq(CFG, m, rng))
+        return sol(*P.gen_boolfn_pair_leq(m, rng))
     if kind == "flc":
-        return flc(P.gen_boolfn(CFG, m, rng), P._rat(CFG, rng, 0, 3))
+        return flc(P.gen_boolfn(m, rng), P._rat(rng, 0, 3))
     if kind == "blc":
-        f, g = P.gen_boolfn_pair_leq(CFG, m, rng)
-        return blc(f, g, P._gen_overlap_params(CFG, rng))
+        f, g = P.gen_boolfn_pair_leq(m, rng)
+        return blc(f, g, P._gen_overlap_params(rng))
     if kind == "bailc":
-        f, g = P.gen_boolfn_pair_leq(CFG, m, rng)
-        p = P._gen_overlap_params(CFG, rng)
+        f, g = P.gen_boolfn_pair_leq(m, rng)
+        p = P._gen_overlap_params(rng)
         try:
-            return bailc(f, g, p, P._feasible_aic(CFG, p, rng))
+            return bailc(f, g, p, P._feasible_aic(p, rng))
         except EmptyBailc:
             return bailc(f, g, p, AicParams(0, 0))
     if kind == "meet":
-        h = P.gen_boolfn(CFG, m, rng)
-        return lc_meet(flc(h, P._rat(CFG, rng, 0, 2)),
-                       flc(h, P._rat(CFG, rng, 0, 2)))
+        h = P.gen_boolfn(m, rng)
+        return lc_meet(flc(h, P._rat(rng, 0, 2)),
+                       flc(h, P._rat(rng, 0, 2)))
     if kind == "join":
-        h = P.gen_boolfn(CFG, m, rng)
-        return lc_join(flc(h, P._rat(CFG, rng, 0, 2)),
-                       flc(h, P._rat(CFG, rng, 0, 2)))
-    f, g = P.gen_boolfn_pair_leq(CFG, m, rng)
+        h = P.gen_boolfn(m, rng)
+        return lc_join(flc(h, P._rat(rng, 0, 2)),
+                       flc(h, P._rat(rng, 0, 2)))
+    f, g = P.gen_boolfn_pair_leq(m, rng)
     return serial(sol(f, g), [sc() for _ in range(m)])
 
 
@@ -325,7 +326,7 @@ def test_criterion_10_files_and_cli_round_trip(tmp_path):
     spath = tmp_path / "sig.json"
     for k in range(200):
         rng = _rng("accept10s", k)
-        x = P.gen_signal(CFG, rng)
+        x = P.gen_signal(rng)
         if signal_from_doc(signal_to_doc(x)) != x:
             bad_signal += 1
         write_signal_file(str(spath), x)
@@ -345,9 +346,8 @@ def test_criterion_10_files_and_cli_round_trip(tmp_path):
         parsed = read_model_file(str(mpath))
         if model_to_doc(parsed) != doc:
             bad_model += 1
-        small = P._small(CFG, 4)
-        u = P.gen_multisignal(small, i.input_arity, rng)
-        x = P.gen_signal(small, rng)
+        u = P.gen_multisignal(i.input_arity, rng, 4)
+        x = P.gen_signal(rng, 4)
         if i.contains(u, x) != parsed.contains(u, x):
             bad_model += 1
 
@@ -356,22 +356,22 @@ def test_criterion_10_files_and_cli_round_trip(tmp_path):
         rng = _rng("accept10c", k)
         choice = k % 3
         if choice == 0:
-            model = flc(P.gen_boolfn(CFG, 1, rng), P._rat(CFG, rng, 0, 3))
+            model = flc(P.gen_boolfn(1, rng), P._rat(rng, 0, 3))
         elif choice == 1:
-            f, g = P.gen_boolfn_pair_leq(CFG, 1, rng)
-            model = blc(f, g, P._gen_overlap_params(CFG, rng))
+            f, g = P.gen_boolfn_pair_leq(1, rng)
+            model = blc(f, g, P._gen_overlap_params(rng))
         else:
-            f, g = P.gen_boolfn_pair_leq(CFG, 1, rng)
-            p = P._gen_overlap_params(CFG, rng)
+            f, g = P.gen_boolfn_pair_leq(1, rng)
+            p = P._gen_overlap_params(rng)
             try:
-                model = bailc(f, g, p, P._feasible_aic(CFG, p, rng))
+                model = bailc(f, g, p, P._feasible_aic(p, rng))
             except EmptyBailc:
                 model = bailc(f, g, p, AicParams(0, 0))
         mfile = tmp_path / f"m{k}.json"
         ifile = tmp_path / f"i{k}.json"
         ofile = tmp_path / f"w{k}.json"
         write_model_file(str(mfile), model)
-        write_signal_file(str(ifile), P.gen_signal(P._small(CFG, 6), rng))
+        write_signal_file(str(ifile), P.gen_signal(rng, 6))
         code = main(["eval", str(mfile), str(ifile),
                      "--out", str(ofile), "--witness", "2", "--seed", str(k)])
         if code != 0:

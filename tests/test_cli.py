@@ -282,7 +282,7 @@ class TestProps:
     def test_failing_check_writes_a_counterexample(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
 
-        def broken(cfg, rng):
+        def broken(rng):
             return "always fails"
 
         register_check("x.3", "deliberate failure", broken)

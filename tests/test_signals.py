@@ -27,7 +27,6 @@ from siglim import (
     constant,
     first_one_time,
     make_signal,
-    pointwise,
     pulse,
     signal_leq,
     translate,
@@ -35,7 +34,7 @@ from siglim import (
     window_all,
     window_any,
 )
-from siglim.signals import _dilate, _erode
+from siglim.signals import _shrink
 from strategies import boolfns, nonneg_rationals, rationals, signals
 
 F = Fraction
@@ -129,14 +128,6 @@ class TestBooleanOps:
         assert (x & y).value_at(t) == x.value_at(t) & y.value_at(t)
         assert (x | y).value_at(t) == x.value_at(t) | y.value_at(t)
 
-    def test_pointwise_named_ops(self):
-        x, y = pulse(0, 2), pulse(1, 3)
-        assert pointwise("and", x, y) == pulse(1, 2)
-        assert pointwise("or", x, y) == pulse(0, 3)
-        assert pointwise("not", x) == ~x
-        with pytest.raises(PreconditionViolated):
-            pointwise("nand", x, y)
-
     @given(signals(), signals())
     def test_leq_agrees_with_conjunction(self, x, y):
         assert signal_leq(x, y) == (x & y == x)
@@ -200,7 +191,7 @@ class TestWindows:
     @settings(max_examples=60)
     def test_erosion_dilation_adjunction(self, x, y, d, m):
         # dilation with the reflected window is left adjoint to erosion
-        assert signal_leq(_dilate(y, m - d, m), x) == signal_leq(y, _erode(x, d, m))
+        assert signal_leq(_shrink(y, m - d, m, 0), x) == signal_leq(y, _shrink(x, d, m, 1))
 
     @given(signals(8), nonneg_rationals(2), nonneg_rationals(2))
     @settings(max_examples=60)
@@ -361,9 +352,9 @@ class TestCost:
 def every_op(x: Signal, y: Signal, d: Fraction, m: Fraction) -> list[Signal]:
     """One output of each signal-algebra operation."""
     return [
-        ~x, x & y, x | y, x ^ y, pointwise("not", x), combine(lambda a: a, x),
+        ~x, x & y, x | y, x ^ y, combine(lambda a: a, x),
         translate(x, d), window_all(x, abs(d) + m, m), window_any(x, abs(d) + m, m),
-        _erode(x, d, m), _dilate(x, d, m),
+        _shrink(x, d, m, 1), _shrink(x, d, m, 0),
         make_signal(x.initial, x.transitions), charfn([(d, d + m)]),
     ]
 
