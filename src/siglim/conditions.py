@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, Literal, Sequence
+from itertools import islice, product
+from math import lcm, prod
+from typing import (
+    TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple, Sequence,
+)
 
 from .boolfn import BoolFn, and_fn, apply_fn, fn_compose, fn_leq, identity_fn, or_fn
 from .errors import (
@@ -39,7 +43,9 @@ from .signals import (
     MultiSignal,
     Signal,
     Time,
+    _lattice,
     _shrink,
+    _sweep,
     as_time,
     breakpoints,
     constant,
@@ -453,15 +459,29 @@ def _composed_bounds(i: LimitCondition, js: Sequence[LimitCondition]) -> tuple[B
     return F, G
 
 
-def _grid_times(base: Sequence[Time], deltas: set[Time], refined: bool) -> list[Time]:
-    times = set(base) | {Fraction(0)}
-    for d in deltas | {-d for d in deltas}:
-        times |= {t + d for t in base}
+def _grid_times(
+    signals: Sequence[Signal], deltas: set[Time], refined: bool
+) -> tuple[int, list[int]]:
+    """(scale, ticks): the first 64 points of a candidate grid, as ticks on
+    one lattice.
+
+    The grid holds time 0, the signals' breakpoints and each breakpoint
+    shifted by every delta both ways; the refined grid adds the midpoint of
+    each pair of neighbours, on a lattice doubled so that every midpoint is
+    a tick.
+    """
+    scale = lcm(_lattice(signals), *[d.denominator for d in deltas]) * (2 if refined else 1)
+    base = [t for t, _ in _sweep(signals, scale)]
+    times = {0, *base}
+    for d in deltas:
+        d = d.numerator * (scale // d.denominator)
+        times.update([t + d for t in base] + [t - d for t in base])
     grid = sorted(times)
-    if refined and len(grid) >= 2:
-        mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
-        grid = sorted(set(grid) | set(mids))
-    return grid[:64]
+    if refined:
+        # a midpoint lies strictly between its neighbours: interleave them
+        mids = [(a + b) // 2 for a, b in zip(grid[:32], grid[1:33])]
+        grid = [t for pair in zip(grid, mids) for t in pair] + grid[len(mids):]
+    return scale, grid[:64]
 
 
 def _clamp(x: Signal, lo: Signal, hi: Signal) -> Signal:
@@ -477,16 +497,17 @@ def _adjoints(p: BlcParams, x: Signal) -> tuple[Signal, Signal]:
 
 
 def _constructed_candidates(
-    j: LimitCondition, blk: MultiSignal, outer: LimitCondition, x: Signal
+    j: LimitCondition, blk: MultiSignal, env: tuple[Signal, Signal] | None,
+    outer: LimitCondition, x: Signal,
 ) -> list[Signal]:
     """Likely intermediate witnesses, derived from the query rather than the grid.
 
-    For window-bounded outers the adjoints bracket every admissible
+    env is the stage's envelopes for blk, if it has them.  For
+    window-bounded outers the adjoints bracket every admissible
     intermediate signal, so clamping them against the inner envelopes hits
     most members in one shot.
     """
     cands: list[Signal] = [x, ~x]
-    env = j.envelopes(blk)
     if outer.kind in ("blc", "bailc"):
         p = outer.params
         ymin, ymax = _adjoints(p, x)
@@ -508,46 +529,169 @@ def _constructed_candidates(
     return cands
 
 
-def _grid_candidates(
-    blk: MultiSignal, x: Signal, deltas: set[Time], budget: SearchBudget, refined: bool,
-) -> Iterator[Signal]:
-    """Steps at each grid time, then pulses on each pair of grid times, built
-    lazily; the pulses stop once more than 4 * max_nodes signals were made.
-    The grid is sorted and distinct, so each signal is canonical as built."""
-    grid = _grid_times(breakpoints(*blk, x), deltas, refined)
+def _runs(s: Signal, b: Bit, scale: int, grid: list[int]) -> tuple[int, int, list[int]]:
+    """Where s holds the value b, read at the ascending grid ticks.
+
+    scale is a multiple of s.scale.  Returns (before, after, ends): s is b
+    on (-inf, grid[a]) iff a < before, on [grid[a], inf) iff a >= after,
+    and on [grid[a], grid[c]) for a < c < len(grid) iff c < ends[a].
+    """
+    n, f = len(grid), scale // s.scale
+    ticks = [t * f for t in s.ticks]
+    if not ticks:
+        return (n, 0, [n] * n) if s.initial == b else (0, n, [0] * n)
+    before = bisect_right(grid, ticks[0]) if s.initial == b else 0
+    after = bisect_left(grid, ticks[-1]) if s.eventual_value() == b else n
+    ends = []
     for t in grid:
-        yield Signal(0, ((t, 1),))
-        yield Signal(1, ((t, 0),))
-    made = 2 * len(grid)
-    for t1, t2 in combinations(grid, 2):
-        yield Signal(0, ((t1, 1), (t2, 0)))
-        yield Signal(1, ((t1, 0), (t2, 1)))
-        made += 2
-        if made > 4 * budget.max_nodes:
+        k = bisect_right(ticks, t)
+        if s.initial ^ (k & 1) != b:
+            ends.append(0)
+        else:
+            ends.append(bisect_right(grid, ticks[k]) if k < len(ticks) else n)
+    return before, after, ends
+
+
+def _grid_candidates(
+    blk: MultiSignal, x: Signal, env: tuple[Signal, Signal] | None, deltas: set[Time],
+    budget: SearchBudget, refined: bool,
+) -> Iterator[Signal]:
+    """Steps at each grid time, then pulses on each pair of grid times, in
+    that order; the pulses stop once more than 4 * max_nodes candidates were
+    counted.
+
+    Each candidate is looked up against the stage's envelopes env before it
+    is built, and only those lying between them are built: a stage admits
+    nothing outside its envelopes.  Candidates that fail still count toward
+    the cut, so the stream is the unfiltered one with those left out.  With
+    env None nothing is left out.
+    """
+    lo, hi = env or (constant(0), constant(1))
+    scale, grid = _grid_times((*blk, x), deltas, refined)
+    lattice = lcm(scale, lo.scale, hi.scale)
+    grid = [t * (lattice // scale) for t in grid]
+    # a candidate must be 0 wherever lo is 1 and 1 wherever hi is 0
+    lo_before, lo_after, lo_ends = _runs(lo, 0, lattice, grid)
+    hi_before, hi_after, hi_ends = _runs(hi, 1, lattice, grid)
+    n = len(grid)
+    for a, t in enumerate(grid):
+        if hi_after <= a < lo_before:
+            yield Signal._on(0, lattice, (t,))
+        if lo_after <= a < hi_before:
+            yield Signal._on(1, lattice, (t,))
+    # pairs counted before the cut, in combinations(range(n), 2) order
+    left = max(1, 2 * budget.max_nodes - n + 1)
+    for a, t1 in enumerate(grid):
+        stop = min(n, a + 1 + left)
+        left -= stop - a - 1
+        up = range(max(a + 1, lo_after), min(stop, hi_ends[a]) if a < lo_before else 0)
+        down = range(max(a + 1, hi_after), min(stop, lo_ends[a]) if a < hi_before else 0)
+        live = [r for r in (up, down) if r]
+        for c in range(min(r.start for r in live), max(r.stop for r in live)) if live else ():
+            if c in up:
+                yield Signal._on(0, lattice, (t1, grid[c]))
+            if c in down:
+                yield Signal._on(1, lattice, (t1, grid[c]))
+        if left <= 0:
             return
 
 
-def _fixed_candidates(
-    j: LimitCondition, blk: MultiSignal, admits: Callable[[Signal], Bit],
-    outer: LimitCondition, x: Signal, budget: SearchBudget, seed: int, cap: int,
-) -> tuple[list[Signal], bool]:
-    """(members, final): the stage's samples and constructed candidates that
-    it admits, which both grid rounds share.
+class _Stage(NamedTuple):
+    """What the serial search knows of one stage for its input block."""
 
-    final marks a list the grid must not extend: the stage's finite output
-    set, or members already at the cap.
+    model: LimitCondition
+    block: MultiSignal
+    admits: Callable[[Signal], Bit]
+    env: tuple[Signal, Signal] | None
+    members: list[Signal]
+    final: bool  # the grid must not extend members: the finite output list, or cap members
+
+
+class _SerialSearch:
+    """The witness search of `serial_membership` for one input tuple.
+
+    Construction does the per-input work once: each stage's membership
+    predicate, envelopes and admitted samples, or its finite output list.
+    Calling the search with an output x does the per-output work: the
+    constructed candidates, then the rounds.
     """
-    finite = j.finite_outputs(blk, seed)
-    if finite is not None:
-        return list(dict.fromkeys(finite)), True
-    raw: list[Signal] = []
-    try:
-        raw += j.sample(blk, budget.samples, seed)
-    except EmptyMeet:
-        pass
-    raw += _constructed_candidates(j, blk, outer, x)
-    members = _distinct_members(raw, admits, cap)
-    return members, len(members) >= cap
+
+    def __init__(self, i: LimitCondition, js: Sequence[LimitCondition], u: MultiSignal,
+                 budget: SearchBudget, seed: int) -> None:
+        self.outer, self.budget = i, budget
+        self.deltas = i.deltas().union(*(j.deltas() for j in js))
+        self.cap = max(4, int(round(budget.max_nodes ** (1.0 / len(js)))))
+        self.stages: list[_Stage] = []
+        for j, blk in zip(js, DirectProduct(tuple(js)).split(u)):
+            admits = j.admits(blk)
+            finite = j.finite_outputs(blk, seed)
+            if finite is not None:
+                self.stages.append(_Stage(j, blk, admits, None, list(dict.fromkeys(finite)), True))
+                continue
+            try:
+                raw = j.sample(blk, budget.samples, seed)
+            except EmptyMeet:
+                raw = []
+            members = _distinct_members(raw, admits, self.cap)
+            self.stages.append(_Stage(j, blk, admits, j.envelopes(blk), members, False))
+
+    def _fixed(self, x: Signal) -> list[_Stage]:
+        """The stages with the candidates constructed from x that each
+        admits added to its members, which every grid round's list starts
+        with."""
+        out = []
+        for st in self.stages:
+            if not st.final:
+                cands = _constructed_candidates(st.model, st.block, st.env, self.outer, x)
+                members = _distinct_members(cands, st.admits, self.cap, st.members)
+                st = st._replace(members=members, final=len(members) >= self.cap)
+            out.append(st)
+        return out
+
+    def _first_pass(self, fixed: list[_Stage]) -> Iterator[tuple[Signal, ...]]:
+        """The combinations of the fixed members that the first grid round
+        reaches within max_nodes even when each list it extends grows to cap
+        members, in that round's order."""
+        sizes = [len(st.members) if st.final else self.cap for st in fixed]
+        for idx in product(*[range(len(st.members)) for st in fixed]):
+            pos = 0
+            for k, size in zip(idx, sizes):
+                pos = pos * size + k
+            if pos >= self.budget.max_nodes:
+                return
+            yield tuple(st.members[k] for st, k in zip(fixed, idx))
+
+    def __call__(self, x: Signal) -> tuple[Bit, bool]:
+        i, budget, cap = self.outer, self.budget, self.cap
+        fixed = self._fixed(x)
+        asked: set[tuple[Signal, ...]] = set()
+
+        def hit(combos: Iterable[tuple[Signal, ...]]) -> bool:
+            """Whether the outer stage maps one of combos not asked before onto x."""
+            for combo in combos:
+                if combo not in asked:
+                    asked.add(combo)
+                    if i.contains(combo, x):
+                        return True
+            return False
+
+        # a 1 from the first pass is a 1 the first grid round would give
+        if hit(self._first_pass(fixed)):
+            return 1, False
+        exhausted = False
+        rounds = 1 + (budget.refine and not all(st.final for st in fixed))
+        for refined in (False, True)[:rounds]:
+            lists = [
+                st.members if st.final else _distinct_members(
+                    _grid_candidates(st.block, x, st.env, self.deltas, budget, refined),
+                    st.admits, cap, st.members)
+                for st in fixed
+            ]
+            if hit(islice(product(*lists), budget.max_nodes)):
+                return 1, False
+            if prod(map(len, lists)) > budget.max_nodes or any(len(lst) >= cap for lst in lists):
+                exhausted = True
+        return 0, exhausted
 
 
 def serial_membership(
@@ -564,39 +708,18 @@ def serial_membership(
     flags that the budget cut the enumeration short, making the 0 a
     semi-decision rather than a proof of absence.
 
-    Each stage's membership predicate, samples and constructed candidates
-    are worked out once.  A coarse grid round extends them, then, when
-    budget.refine is set, a round on the grid refined by midpoints.  When
-    every list is final (deterministic stages give their one output), the
-    grid adds nothing and a single round answers exactly.
+    Each stage's fixed members come first: its samples, or its finite output
+    list, and the candidates constructed from x that it admits.  A first
+    pass asks the outer stage about their combinations, but only those the
+    first grid round would reach within budget.max_nodes, so a 1 from it is
+    a 1 that round would give.  Then a coarse grid round extends each
+    stage's list, and, when budget.refine is set, a round on the grid
+    refined by midpoints; grid candidates outside a stage's envelopes are
+    never built, and no combination is asked twice.  When every list is
+    final (deterministic stages give their one output), the grid adds
+    nothing and the first pass answers exactly.
     """
-    budget = budget or DEFAULT_BUDGET
-    blocks = DirectProduct(tuple(js)).split(u)
-    deltas = i.deltas().union(*(j.deltas() for j in js))
-    m = len(js)
-    cap = max(4, int(round(budget.max_nodes ** (1.0 / m))))
-    admits = [j.admits(blk) for j, blk in zip(js, blocks)]
-    fixed = [_fixed_candidates(j, blk, adm, i, x, budget, seed, cap)
-             for j, blk, adm in zip(js, blocks, admits)]
-    exhausted = False
-    rounds = 1 + (budget.refine and not all(final for _, final in fixed))
-    for refined in (False, True)[:rounds]:
-        lists = [
-            found if final else _distinct_members(
-                _grid_candidates(blk, x, deltas, budget, refined), adm, cap, found)
-            for blk, adm, (found, final) in zip(blocks, admits, fixed)
-        ]
-        nodes = 0
-        for combo in product(*lists):
-            nodes += 1
-            if nodes > budget.max_nodes:
-                exhausted = True
-                break
-            if i.contains(tuple(combo), x):
-                return 1, False
-        if any(len(lst) >= cap for lst in lists):
-            exhausted = True
-    return 0, exhausted
+    return _SerialSearch(i, js, u, budget or DEFAULT_BUDGET, seed)(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -620,7 +743,8 @@ class Serial(LimitCondition):
         return serial_membership(self.outer, self.inners, u, x)
 
     def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
-        return lambda x: self._membership(u, x)[0]
+        search = _SerialSearch(self.outer, self.inners, u, DEFAULT_BUDGET, 0)
+        return lambda x: search(x)[0]
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         blocks = DirectProduct(self.inners).split(u)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .boolfn import BoolFn, apply_fn
@@ -24,8 +25,8 @@ from .signals import (
     MultiSignal,
     Signal,
     Time,
+    _sweep,
     as_time,
-    breakpoints,
     make_signal,
     signal_leq,
     translate_all,
@@ -232,18 +233,17 @@ def _dwell_dfs(
 
 def _dwell_grid(lo: Signal, hi: Signal, a: AicParams) -> list[Time]:
     # envelope breakpoints are mandatory: cells must see lo and hi constant;
-    # only the dwell shifts may be capped
-    base = set(breakpoints(lo, hi))
-    shifts = {
-        i * a.delta_r + j * a.delta_f
-        for i in range(4) for j in range(4) if 0 < i + j <= 3
-    }
-    extras: set[Time] = set()
-    for s in shifts:
-        extras |= {t + s for t in base}
-    extras -= base
+    # only the dwell shifts may be capped.  The grid is built as ticks on
+    # one lattice and turned into times once.
+    scale = lcm(lo.scale, hi.scale, a.delta_r.denominator, a.delta_f.denominator)
+    r, f = (d.numerator * (scale // d.denominator) for d in (a.delta_r, a.delta_f))
+    base = [t for t, _ in _sweep((lo, hi), scale)]
+    extras: set[int] = set()
+    for s in {i * r + j * f for i in range(4) for j in range(4) if 0 < i + j <= 3}:
+        extras.update([t + s for t in base])
+    extras.difference_update(base)
     room = max(0, 96 - len(base))
-    return sorted(base | set(sorted(extras)[:room]))
+    return [Fraction(t, scale) for t in sorted(base + sorted(extras)[:room])]
 
 
 def search_between(

@@ -51,7 +51,7 @@ from siglim import (
     sol_contains,
     translate,
 )
-from siglim import bounded, inertial
+from siglim import bounded, conditions, inertial
 from siglim.conditions import Serial, _composed_bounds
 from siglim.errors import BlockArityMismatch
 from siglim.inertial import Flc
@@ -276,7 +276,40 @@ class TestSerialDispatch:
             calls.clear()
             serial_membership(outer, [inner], u, x, SearchBudget(refine=refine))
             counts.append(sum(calls))
-        assert all(n < 20 for n in counts), counts
+        # one pair each for the predicate and the samples, and one that the
+        # constructed candidates and the grid's envelope check share
+        assert counts == [3, 3]
+
+    def test_no_combination_is_asked_twice(self, monkeypatch):
+        # the first pass and both grid rounds share one record of the
+        # intermediate signals already put to the outer stage
+        outer, inner, u, x = _composition_gap()
+        asked = []
+        real = type(outer).contains
+
+        def recording(self, v, y):
+            if self is outer:
+                asked.append(tuple(v))
+            return real(self, v, y)
+
+        monkeypatch.setattr(type(outer), "contains", recording)
+        assert serial_membership(outer, [inner], u, x, SearchBudget(refine=True)) == (0, False)
+        assert len(asked) > 100
+        assert len(set(asked)) == len(asked)
+
+    def test_constructed_witness_answers_before_any_grid(self, monkeypatch):
+        # the clamped inner envelope is a fixed member, and the first grid
+        # round would reach it, so no grid is built
+        inner = blc(identity_fn(), identity_fn(), params(1, 2, 1, 2))
+        u = (pulse(0, 3),)
+        lo, _ = inner.envelopes(u)
+
+        def no_grid(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(conditions, "_grid_candidates", no_grid)
+        outer = flc(identity_fn(), 1)
+        assert serial_membership(outer, [inner], u, translate(lo, 1)) == (1, False)
 
     def test_zero_inner_dwell_chain_sums_parameters(self):
         outer = bailc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2), AicParams(1, 1))
@@ -333,6 +366,24 @@ class TestSerialDispatch:
 
         monkeypatch.setattr(Flc, "_sample", counting)
         assert chain.sample(u, 6, 0) == [translate(u[0], 3)]
+        assert len(calls) == 2
+
+    def test_admits_samples_each_stage_once_per_input(self, monkeypatch):
+        # the chain's predicate does the per-input work once: two stage
+        # samples for three outputs, not two per output
+        chain = serial(flc(and_fn(2), 1), [flc(identity_fn(), 2), flc(identity_fn(), 3)])
+        assert chain.kind == "serial"
+        u = (pulse(0, 4), pulse(1, 5))
+        calls = []
+        real = Flc._sample
+
+        def counting(self, *args):
+            calls.append(self)
+            return real(self, *args)
+
+        monkeypatch.setattr(Flc, "_sample", counting)
+        admits = chain.admits(u)
+        assert [admits(x) for x in (pulse(5, 7), pulse(4, 7), constant(0))] == [1, 0, 0]
         assert len(calls) == 2
 
     def test_outer_without_adjoints_reads_the_inner_envelopes(self):

@@ -32,11 +32,18 @@ def test_search_trace_prints_counts_and_digest(tmp_path):
     assert lines[-1].startswith(f"{total} calls, sha256 ")
 
 
-# The digest of every serial search answer at seed 42, 30 cases per law.  A
-# change meant to move search answers updates this constant and says so.
+# The digest of every serial search answer at seed 42, 30 and 100 cases per
+# law.  A change meant to move search answers updates these constants and
+# says so.
 SEARCH_TRACE_30 = "1002 calls, sha256 8d6785310abf513ed6715f8d507de138a0210df5ad51d9d081cca46776229d1c"
+SEARCH_TRACE_100 = "3348 calls, sha256 88df2286b5e8475e93cc234d0b610834c64ecc90f66686adac94748da9f9a59b"
 
 
 def test_search_trace_digest_is_pinned(tmp_path):
     lines = _run(tmp_path, "search_trace.py", "--seed", "42", "--cases", "30").splitlines()
     assert lines[-1] == SEARCH_TRACE_30
+
+
+def test_search_trace_digest_is_pinned_at_100_cases(tmp_path):
+    lines = _run(tmp_path, "search_trace.py", "--seed", "42", "--cases", "100").splitlines()
+    assert lines[-1] == SEARCH_TRACE_100
