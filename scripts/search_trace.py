@@ -2,10 +2,12 @@
 """Trace every serial witness-search answer of the property suite.
 
 Replays each case of every registered law with `serial_membership` wrapped,
-then prints per law how often each (bit, exhausted) answer came out, and a
-sha256 of the ordered trace keyed by (law, case, call index).  Two trees that
-print the same digest gave every search the same answer, so a change to the
-search can list exactly the answers it moves.
+and with the searches that the laws build by `serial_search` wrapped so that
+each call on an output is recorded, then prints per law how often each
+(bit, exhausted) answer came out, and a sha256 of the ordered trace keyed by
+(law, case, call index).  Two trees that print the same digest gave every
+search the same answer, so a change to the search can list exactly the
+answers it moves.
 
     python3 scripts/search_trace.py --seed 42 --cases 500
 """
@@ -24,15 +26,18 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--cases", type=int, default=500)
     args = ap.parse_args(argv)
 
-    search = conditions.serial_membership
+    membership, build = conditions.serial_membership, props.serial_search
     answers: list[tuple[int, bool]] = []
 
-    def traced(*a, **kw):
-        out = search(*a, **kw)
-        answers.append(out)
-        return out
+    def traced(search):
+        def answer(*a, **kw):
+            out = search(*a, **kw)
+            answers.append(out)
+            return out
+        return answer
 
-    conditions.serial_membership = props.serial_membership = traced
+    conditions.serial_membership = props.serial_membership = traced(membership)
+    props.serial_search = lambda *a, **kw: traced(build(*a, **kw))
     cfg = props.GenConfig(seed=args.seed, cases=args.cases)
     digest = hashlib.sha256()
     total = 0

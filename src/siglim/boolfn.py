@@ -8,6 +8,7 @@ bit strings in that same order ("0001" is the two-input AND).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import ArityMismatch, PreconditionViolated
@@ -38,6 +39,20 @@ class BoolFn:
         for b in bits:
             idx = (idx << 1) | b
         return self.table[idx]
+
+    @cached_property
+    def _one_input(self) -> tuple[int, Bit] | None:
+        """(p, b) when the table depends on at most one input: f(a) is
+        a[p] ^ b, or the constant b when p is -1.  None when it depends on
+        two or more."""
+        t = self.table
+        if min(t) == max(t):
+            return -1, t[0]
+        for p in range(self.arity):
+            bit = 1 << (self.arity - 1 - p)  # index bit of argument p
+            if all(v == t[0] ^ (i & bit > 0) for i, v in enumerate(t)):
+                return p, t[0]
+        return None
 
     def bits(self) -> str:
         return "".join(str(v) for v in self.table)
@@ -88,10 +103,20 @@ def proj_fn(m: int, p: int) -> BoolFn:
 
 
 def apply_fn(f: BoolFn, u: MultiSignal) -> Signal:
-    """Pointwise image f(u_1(t), ..., u_m(t)) as a canonical signal."""
+    """Pointwise image f(u_1(t), ..., u_m(t)) as a canonical signal.
+
+    A table that depends on at most one input needs no walk: the image is
+    that input's signal, as it is or negated, or a constant.
+    """
     if len(u) != f.arity:
         raise ArityMismatch(f"function of arity {f.arity} applied to {len(u)} signals")
-    return combine(f, *u)
+    one = f._one_input
+    if one is None:
+        return combine(f, *u)
+    p, b = one
+    if p < 0:
+        return Signal(b)
+    return ~u[p] if b else u[p]
 
 
 def fn_compose(f: BoolFn, inner: list[BoolFn] | tuple[BoolFn, ...]) -> BoolFn:

@@ -16,7 +16,7 @@ from functools import cached_property, reduce
 from typing import Callable
 
 from .boolfn import BoolFn, apply_fn, fn_compose, fn_leq, fn_props, is_monotone
-from .conditions import LimitCondition, _rng
+from .conditions import LimitCondition, _clamp, _rng
 from .errors import InvalidBlc, MonotonyViolated, DistributivityUnverified, PreconditionViolated
 from .signals import (
     Bit,
@@ -121,19 +121,28 @@ class Blc(LimitCondition):
 
 
 def _window_samples(lo: Signal, hi: Signal, count: int, seed: int) -> list[Signal]:
-    """The envelopes lo and hi, then seeded signals clamped between them."""
+    """The envelopes lo and hi, then seeded signals clamped between them.
+
+    Each seeded signal switches at up to 4 of the envelopes' merged
+    transition times (time 0 when there are none), dropping the picks that
+    repeat its current value; it is built as ticks on the envelopes'
+    lattice and clamped in one walk.  The merged times are listed once per
+    call, for all the draws.
+    """
     out = [lo, hi]
     rng = _rng(seed, "blc")
     scale = _lattice((lo, hi))
-    # the merged transition ticks, or the single time 0; only the drawn
-    # ticks become Fractions
     ticks = [t for t, _ in _sweep((lo, hi), scale)] or [0]
     n = len(ticks)
     while len(out) < count + 2:
         picks = sorted(rng.sample(range(n), rng.randint(0, min(4, n))))
-        r = make_signal(rng.randint(0, 1),
-                        [(Fraction(ticks[k], scale), rng.randint(0, 1)) for k in picks])
-        out.append(lo | (r & hi))
+        v = initial = rng.randint(0, 1)
+        edges = []
+        for k in picks:
+            if rng.randint(0, 1) != v:
+                edges.append(ticks[k])
+                v ^= 1
+        out.append(_clamp(Signal._on(initial, scale, tuple(edges)), lo, hi))
     return list(dict.fromkeys(out))[: max(count, 1)]
 
 

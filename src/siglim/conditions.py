@@ -48,6 +48,7 @@ from .signals import (
     _sweep,
     as_time,
     breakpoints,
+    combine,
     constant,
     make_signal,
     translate,
@@ -485,7 +486,8 @@ def _grid_times(
 
 
 def _clamp(x: Signal, lo: Signal, hi: Signal) -> Signal:
-    return lo | (x & hi)
+    """lo | (x & hi), in one walk over the three signals."""
+    return combine(lambda y, v, z: y | (v & z), lo, x, hi)
 
 
 def _adjoints(p: BlcParams, x: Signal) -> tuple[Signal, Signal]:
@@ -608,7 +610,7 @@ class _Stage(NamedTuple):
 
 
 class _SerialSearch:
-    """The witness search of `serial_membership` for one input tuple.
+    """The witness search of `serial_search` for one input tuple.
 
     Construction does the per-input work once: each stage's membership
     predicate, envelopes and admitted samples, or its finite output list.
@@ -694,6 +696,23 @@ class _SerialSearch:
         return 0, exhausted
 
 
+def serial_search(
+    i: LimitCondition,
+    js: Sequence[LimitCondition],
+    u: MultiSignal,
+    budget: SearchBudget | None = None,
+    seed: int = 0,
+) -> Callable[[Signal], tuple[Bit, bool]]:
+    """The witness search for the chain of i over js on the input u, as a
+    function from an output x to the (bit, exhausted) of `serial_membership`.
+
+    The per-input work is done here, once (see `_SerialSearch`), and each
+    call does only the per-output work: loops over many outputs for one
+    input build one search.
+    """
+    return _SerialSearch(i, js, u, budget or DEFAULT_BUDGET, seed)
+
+
 def serial_membership(
     i: LimitCondition,
     js: Sequence[LimitCondition],
@@ -706,7 +725,8 @@ def serial_membership(
 
     Returns (1, False) on success; (0, exhausted) otherwise, where exhausted
     flags that the budget cut the enumeration short, making the 0 a
-    semi-decision rather than a proof of absence.
+    semi-decision rather than a proof of absence.  This is
+    `serial_search(i, js, u, budget, seed)(x)`.
 
     Each stage's fixed members come first: its samples, or its finite output
     list, and the candidates constructed from x that it admits.  A first
@@ -719,16 +739,16 @@ def serial_membership(
     final (deterministic stages give their one output), the grid adds
     nothing and the first pass answers exactly.
     """
-    return _SerialSearch(i, js, u, budget or DEFAULT_BUDGET, seed)(x)
+    return serial_search(i, js, u, budget, seed)(x)
 
 
 @dataclass(frozen=True, eq=False)
 class Serial(LimitCondition):
     """Outer model fed by one inner model per input, with no closed form.
 
-    Membership is the witness search `serial_membership` under the default
-    budget; it is exact when every stage is deterministic, since each stage
-    then offers its one output.
+    Membership is the witness search `serial_search` under the default
+    budget, which `admits` builds once per input; it is exact when every
+    stage is deterministic, since each stage then offers its one output.
     """
 
     outer: LimitCondition
@@ -743,7 +763,7 @@ class Serial(LimitCondition):
         return serial_membership(self.outer, self.inners, u, x)
 
     def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
-        search = _SerialSearch(self.outer, self.inners, u, DEFAULT_BUDGET, 0)
+        search = serial_search(self.outer, self.inners, u)
         return lambda x: search(x)[0]
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:

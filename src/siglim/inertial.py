@@ -180,22 +180,19 @@ class _Budget:
 
 
 def _dwell_dfs(
-    lo: Signal, hi: Signal, a: AicParams, grid: list[Time],
+    grid: list[Time], bounds: list[tuple[Bit, Bit]], a: AicParams,
     budget: _Budget, rng: random.Random | None,
 ) -> Signal | None:
-    """Depth-first construction of a signal between lo and hi respecting dwells.
+    """Depth-first construction of a signal between two envelopes respecting
+    dwells.
 
-    Cells are the pieces cut by the grid; edges may only sit on grid points,
-    which include every envelope breakpoint, so lo and hi are constant per
-    cell.  Free cells prefer keeping the current value, which finds witnesses
-    with the fewest switches first.
+    Cells are the pieces cut by the non-empty grid; edges may only sit on
+    grid points, which include every envelope breakpoint, so the envelopes
+    are constant per cell, and bounds holds their values on each cell.  Free
+    cells prefer keeping the current value, which finds witnesses with the
+    fewest switches first.
     """
-    if not grid:
-        v = lo.initial
-        return Signal(v) if lo.initial <= v <= hi.initial else None
-    reprs = [grid[0] - 1] + list(grid)
-    bounds = values_along((lo, hi), reprs)
-    n = len(reprs)
+    n = len(bounds)
 
     def rec(idx: int, value: Bit, last_edge: Time | None,
             edges: list[tuple[Time, Bit]]) -> Signal | None:
@@ -246,6 +243,37 @@ def _dwell_grid(lo: Signal, hi: Signal, a: AicParams) -> list[Time]:
     return [Fraction(t, scale) for t in sorted(base + sorted(extras)[:room])]
 
 
+def _dwell_draws(
+    lo: Signal, hi: Signal, a: AicParams, budget: SearchBudget | None = None,
+) -> Callable[[int], Signal | None]:
+    """Seeded draws of the dwell search between two envelopes.
+
+    The per-envelope work is done here, once: the order check, the grid of
+    envelope breakpoints plus dwell shifts, and the envelopes' values on its
+    cells.  Each draw `draw(seed)` runs one depth-first pass on them within
+    budget.max_nodes, taking choices in order for seed 0 and shuffled by
+    the seed otherwise, and checks its witness.
+    """
+    max_nodes = (budget or DEFAULT_BUDGET).max_nodes
+    if not signal_leq(lo, hi):
+        return lambda seed: None
+    grid = _dwell_grid(lo, hi, a)
+    # one cell before the first grid point, then one from each point on
+    bounds = values_along((lo, hi), [grid[0] - 1] + grid) if grid else []
+
+    def draw(seed: int) -> Signal | None:
+        if grid:
+            rng = _rng(seed, "dwell") if seed else None
+            x = _dwell_dfs(grid, bounds, a, _Budget(max_nodes), rng)
+        else:  # constant envelopes: the constant lo is a witness
+            x = Signal(lo.initial)
+        if x is None or signal_leq(lo, x) and signal_leq(x, hi) and aic_contains(x, a):
+            return x
+        raise AssertionError("witness construction produced an invalid signal")
+
+    return draw
+
+
 def search_between(
     lo: Signal, hi: Signal, a: AicParams,
     budget: SearchBudget | None = None, seed: int = 0,
@@ -254,24 +282,22 @@ def search_between(
 
     One depth-first pass places edges on the grid of envelope breakpoints
     plus dwell shifts, within budget.max_nodes.  A None is therefore not a
-    proof: the grid or the node budget may have cut the search short.
+    proof: the grid or the node budget may have cut the search short.  This
+    is one draw of `_dwell_draws`, which builds the grid for the envelope
+    pair; callers drawing several witnesses between the same envelopes
+    (`Bailc` sampling) build it once and draw from it.
     """
-    budget = budget or DEFAULT_BUDGET
-    if not signal_leq(lo, hi):
-        return None
-    rng = _rng(seed, "dwell") if seed else None
-    x = _dwell_dfs(lo, hi, a, _dwell_grid(lo, hi, a), _Budget(budget.max_nodes), rng)
-    if x is None or signal_leq(lo, x) and signal_leq(x, hi) and aic_contains(x, a):
-        return x
-    raise AssertionError("witness construction produced an invalid signal")
+    return _dwell_draws(lo, hi, a, budget)(seed)
 
 
 @dataclass(frozen=True, eq=False)
 class Bailc(Blc):
     """Bounded limit condition intersected with the inertial dwell constraint.
 
-    Witnesses beyond the window samples come from `search_between` under the
-    default search budget.
+    Witnesses beyond the window samples come from seeded draws of the dwell
+    search under the default search budget; the per-input work of those
+    draws (the envelopes, the dwell grid and the envelopes' values on it) is
+    done once per `sample` call.
     """
 
     aic: AicParams
@@ -294,13 +320,15 @@ class Bailc(Blc):
         lo, hi = self.envelopes(u)
         out = dict.fromkeys(x for x in _window_samples(lo, hi, count + 2, seed)
                             if aic_contains(x, self.aic))
-        s = 0
-        while len(out) < count and s < count + 4:
-            x = search_between(lo, hi, self.aic, seed=seed + s)
-            if x is None:
-                break
-            out[x] = None
-            s += 1
+        if len(out) < count:
+            draw = _dwell_draws(lo, hi, self.aic)
+            for s in range(count + 4):
+                x = draw(seed + s)
+                if x is None:
+                    break
+                out[x] = None
+                if len(out) >= count:
+                    break
         if not out:
             raise EmptyBailc("no inertial witness found for this input within budget")
         return list(out)[:count]

@@ -57,6 +57,7 @@ from .conditions import (
     scf,
     serial,
     serial_membership,
+    serial_search,
     sol,
     sol_contains,
 )
@@ -399,8 +400,13 @@ def _chk_3_12(rng: random.Random) -> str | None:
     seed = rng.randint(0, 1 << 20)
     xs = [gen_signal(rng)] + i.sample(ys, 2, seed)
 
+    searches = {}  # one per chain: every output shares the input u
+
     def bit(outer, inners, x):
-        return serial_membership(outer, inners, u, x, CHECK_BUDGET, seed)[0]
+        key = (outer, *inners)
+        if key not in searches:
+            searches[key] = serial_search(outer, inners, u, CHECK_BUDGET, seed)
+        return searches[key](x)[0]
 
     a = AicParams(_rat(rng, 0, 1), _rat(rng, 0, 1))
     V = aic_set(a)

@@ -13,6 +13,7 @@ from siglim import (
     and_fn,
     apply_fn,
     blc_symmetric_usual,
+    combine,
     const_fn,
     fn_compose,
     fn_from_bits,
@@ -20,12 +21,14 @@ from siglim import (
     identity_fn,
     is_monotone,
     is_permutation_symmetric,
+    make_signal,
     not_fn,
     or_fn,
     proj_fn,
     pulse,
     xor_fn,
 )
+from siglim import signals
 from strategies import boolfn_pairs_leq, boolfns, multisignals, rationals
 
 
@@ -102,6 +105,32 @@ class TestApply:
     @settings(max_examples=60)
     def test_apply_is_pointwise(self, f, u, t):
         assert apply_fn(f, u).value_at(t) == f(*(x.value_at(t) for x in u))
+
+    @given(multisignals(2, 8))
+    @settings(max_examples=40)
+    def test_every_small_table_matches_the_walk(self, u):
+        # the tables that depend on at most one input skip the walk
+        for m in (1, 2):
+            for table in product((0, 1), repeat=1 << m):
+                f = BoolFn(m, table)
+                assert apply_fn(f, u[:m]) == combine(f, *u[:m])
+
+    def test_one_input_tables_run_no_sweep(self, monkeypatch):
+        # sweeps counted, not clock time, as in the signal algebra's cost tests
+        swept = []
+        real = signals._sweep
+
+        def counting(*args):
+            swept.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(signals, "_sweep", counting)
+        x = make_signal(0, [(k, (k + 1) % 2) for k in range(1000)])
+        for f in (identity_fn(), not_fn(), const_fn(1, 0), const_fn(1, 1), proj_fn(3, 2)):
+            apply_fn(f, (x,) * f.arity)
+        assert swept == []
+        apply_fn(xor_fn(), (x, x))
+        assert len(swept) == 1
 
 
 class TestProps:

@@ -51,7 +51,7 @@ from siglim import (
     sol_contains,
     translate,
 )
-from siglim import bounded, conditions, inertial
+from siglim import bounded, conditions, inertial, props
 from siglim.conditions import Serial, _composed_bounds
 from siglim.errors import BlockArityMismatch
 from siglim.inertial import Flc
@@ -242,22 +242,54 @@ class TestSerialDispatch:
 
     def test_refined_round_reuses_the_stage_samples(self, monkeypatch):
         # only the grid changes between rounds: the inner stage's five
-        # sampling searches run once, not once per round
+        # seeded dwell draws run once, not once per round, and all five
+        # share the one dwell grid its sample call builds
         outer, inner, u, x = _composition_gap()
         calls = []
-        real = inertial.search_between
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(owner, name):
+            real = getattr(owner, name)
 
-        monkeypatch.setattr(inertial, "search_between", counting)
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(inertial, "_dwell_dfs")
+        counting(inertial, "_dwell_grid")
+        counting(inertial.Bailc, "_sample")
         counts = []
         for refine in (False, True):
             calls.clear()
             serial_membership(outer, [inner], u, x, SearchBudget(refine=refine))
-            counts.append(len(calls))
-        assert counts == [5, 5]
+            counts.append({name: calls.count(name) for name in set(calls)})
+        assert counts == [{"_dwell_dfs": 5, "_dwell_grid": 1, "_sample": 1}] * 2
+
+    def test_law_3_12_builds_one_search_per_chain(self, monkeypatch):
+        # every output of a case shares the input, so each chain's
+        # per-input work is done once for all of them
+        real = props.serial_search
+        built, asked = [], []
+
+        def counting(outer, inners, *args):
+            built.append((outer, *inners))
+            search = real(outer, inners, *args)
+
+            def answer(x):
+                asked.append(x)
+                return search(x)
+
+            return answer
+
+        monkeypatch.setattr(props, "serial_search", counting)
+        cfg = props.GenConfig(seed=42, cases=5)
+        for case in range(cfg.cases):
+            built.clear()
+            asked.clear()
+            assert props.replay_case("3.12", cfg, case) is None
+            assert len(built) == len(set(built)) <= 11
+            assert len(asked) > 2 * len(built)
 
     def test_inner_envelopes_do_not_grow_with_the_rounds(self, monkeypatch):
         # the grid rounds filter thousands of candidates through one

@@ -1,0 +1,128 @@
+"""The window and dwell samplers against the per-draw definitions they replace.
+
+`_window_samples` builds each seeded signal as ticks and clamps it in one
+walk; the version below builds it with `make_signal` on Fractions and clamps
+it with two `combine` walks, and both must return the same list.  `Bailc`
+sampling draws from one dwell grid per call; the loop below runs one full
+`search_between` per seed, and both must return the same members.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from siglim import (
+    EmptyBailc, Signal, aic_contains, bailc, breakpoints, make_signal, search_between,
+)
+from siglim.boolfn import and_fn, identity_fn, or_fn, xor_fn
+from siglim.bounded import _window_samples
+from siglim.conditions import _rng
+from siglim.props import _feasible_aic, _gen_overlap_params
+
+
+def window_samples_oracle(lo, hi, count, seed):
+    """The envelopes, then seeded signals on their merged breakpoints (time
+    0 when there are none), each clamped as lo | (r & hi)."""
+    out = [lo, hi]
+    rng = _rng(seed, "blc")
+    times = breakpoints(lo, hi) or [F(0)]
+    n = len(times)
+    while len(out) < count + 2:
+        picks = sorted(rng.sample(range(n), rng.randint(0, min(4, n))))
+        r = make_signal(rng.randint(0, 1), [(times[k], rng.randint(0, 1)) for k in picks])
+        out.append(lo | (r & hi))
+    return list(dict.fromkeys(out))[: max(count, 1)]
+
+
+def bailc_sample_oracle(model, u, count, seed):
+    """The window samples that keep the dwell, then one `search_between`
+    per seed until count members are found or a search finds none."""
+    lo, hi = model.envelopes(u)
+    out = dict.fromkeys(x for x in window_samples_oracle(lo, hi, count + 2, seed)
+                        if aic_contains(x, model.aic))
+    s = 0
+    while len(out) < count and s < count + 4:
+        x = search_between(lo, hi, model.aic, seed=seed + s)
+        if x is None:
+            break
+        out[x] = None
+        s += 1
+    if not out:
+        raise EmptyBailc("no inertial witness")
+    return list(out)[:count]
+
+
+def _signal(rng, n, dens):
+    times = sorted({F(rng.randint(-12, 36), rng.choice(dens)) for _ in range(n)})
+    initial = rng.randint(0, 1)
+    return Signal(initial, [(t, initial ^ (k & 1) ^ 1) for k, t in enumerate(times)])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_window_samples_match_the_fraction_definition(seed):
+    rng = random.Random(f"window:{seed}")
+    # even seeds keep at most 3 breakpoints per signal, so that draws of 4
+    # picks can cover them all; odd seeds take up to 12
+    x, y = (_signal(rng, rng.randint(0, [3, 12][seed % 2]), (1, 2, 3, 8)) for _ in range(2))
+    # an ordered pair, its reverse, and the same signal twice
+    for lo, hi in ((x & y, x | y), (x | y, x & y), (x, x)):
+        for count in (0, 1, 3, 8):
+            s = rng.randint(0, 1 << 20)
+            assert _window_samples(lo, hi, count, s) == window_samples_oracle(lo, hi, count, s)
+
+
+def test_window_samples_without_breakpoints_switch_at_zero():
+    for lo, hi in ((Signal(0), Signal(1)), (Signal(1), Signal(1)), (Signal(1), Signal(0))):
+        for seed in range(20):
+            got = _window_samples(lo, hi, 6, seed)
+            assert got == window_samples_oracle(lo, hi, 6, seed)
+    # between the constants 0 and 1 the draws are steps at time 0
+    assert {x.ticks for x in _window_samples(Signal(0), Signal(1), 6, 1)} == {(), (0,)}
+
+
+def _bailc_case(seed):
+    rng = random.Random(f"bailc:{seed}")
+    m = rng.randint(1, 2)
+    f, g = rng.choice([(and_fn(m), or_fn(m)), (and_fn(m), and_fn(m)), (or_fn(m), or_fn(m))])
+    if m == 1:
+        f, g = rng.choice([(f, g), (identity_fn(), identity_fn())])
+    elif rng.random() < 0.2:
+        f = g = xor_fn()
+    p = _gen_overlap_params(rng)
+    model = bailc(f, g, p, _feasible_aic(p, rng))
+    u = tuple(_signal(rng, rng.randint(0, 6), (1, 2, 3, 4)) for _ in range(m))
+    return model, u
+
+
+def _sample_or_error(sampler, *args):
+    try:
+        return sampler(*args)
+    except EmptyBailc:
+        return EmptyBailc
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bailc_samples_match_one_search_per_seed(seed):
+    model, u = _bailc_case(seed)
+    for count in (1, 3, 6):
+        for s in (0, 1, 977):
+            assert (_sample_or_error(model.sample, u, count, s)
+                    == _sample_or_error(bailc_sample_oracle, model, u, count, s))
+
+
+def test_bailc_cases_reach_the_draws():
+    # the window samples alone fall short often enough that the dwell draws
+    # decide the comparison above
+    drawn = 0
+    for seed in range(40):
+        model, u = _bailc_case(seed)
+        lo, hi = model.envelopes(u)
+        for count in (1, 3, 6):
+            for s in (0, 1, 977):
+                kept = {x for x in window_samples_oracle(lo, hi, count + 2, s)
+                        if aic_contains(x, model.aic)}
+                drawn += len(kept) < count
+    assert drawn > 50, drawn
