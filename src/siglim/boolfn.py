@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import product
 
 from .errors import ArityMismatch, PreconditionViolated
-from .signals import Bit, MultiSignal, Signal, combine
+from .signals import Bit, MultiSignal, Signal, _images, combine
 
 MAX_ARITY = 16
 
@@ -117,6 +117,23 @@ def apply_fn(f: BoolFn, u: MultiSignal) -> Signal:
     if p < 0:
         return Signal(b)
     return ~u[p] if b else u[p]
+
+
+def apply_pair(f: BoolFn, g: BoolFn, u: MultiSignal) -> tuple[Signal, Signal]:
+    """(apply_fn(f, u), apply_fn(g, u)) in at most one walk over u.
+
+    Equal tables share one image, and a table that depends on at most one
+    input needs no walk; otherwise one walk over u takes both images.
+    """
+    if f == g:
+        y = apply_fn(f, u)
+        return y, y
+    if f._one_input is not None or g._one_input is not None:
+        return apply_fn(f, u), apply_fn(g, u)
+    if not len(u) == f.arity == g.arity:
+        raise ArityMismatch(f"functions of arity {f.arity} and {g.arity} applied to {len(u)} signals")
+    lo, hi = _images((f.table, g.table), u)
+    return lo, hi
 
 
 def fn_compose(f: BoolFn, inner: list[BoolFn] | tuple[BoolFn, ...]) -> BoolFn:

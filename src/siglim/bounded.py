@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Callable
 
-from .boolfn import BoolFn, apply_fn, fn_compose, fn_leq, fn_props, is_monotone
+from .boolfn import BoolFn, apply_fn, apply_pair, fn_compose, fn_leq, fn_props, is_monotone
 from .conditions import LimitCondition, _clamp, _rng
 from .errors import InvalidBlc, MonotonyViolated, DistributivityUnverified, PreconditionViolated
 from .signals import (
@@ -24,13 +24,14 @@ from .signals import (
     Signal,
     Time,
     _lattice,
-    _sweep,
+    _shrink,
+    _ticks,
     as_time,
     constant,
     first_one_time,
     make_signal,
     pulse,
-    signal_leq,
+    signal_between,
     window_all,
     window_any,
 )
@@ -70,7 +71,11 @@ def upper_envelope(g: BoolFn, u: MultiSignal, p: BlcParams) -> Signal:
 
 
 def envelopes(f: BoolFn, g: BoolFn, p: BlcParams, u: MultiSignal) -> tuple[Signal, Signal]:
-    return lower_envelope(f, u, p), upper_envelope(g, u, p)
+    """(lower_envelope(f, u, p), upper_envelope(g, u, p)), with the images
+    of f and g taken in one walk over u and p's windows, checked when p was
+    built, applied by one `_shrink` pass each."""
+    fu, gu = apply_pair(f, g, u)
+    return _shrink(fu, p.d_r, p.m_r, 1), _shrink(gu, p.d_f, p.m_f, 0)
 
 
 def blc_valid(f: BoolFn, g: BoolFn, p: BlcParams) -> Bit:
@@ -114,7 +119,7 @@ class Blc(LimitCondition):
 
     def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
         lo, hi = self.envelopes(u)
-        return lambda x: int(signal_leq(lo, x) and signal_leq(x, hi))
+        return lambda x: int(signal_between(lo, x, hi))
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         return _window_samples(*self.envelopes(u), count, seed)
@@ -132,7 +137,7 @@ def _window_samples(lo: Signal, hi: Signal, count: int, seed: int) -> list[Signa
     out = [lo, hi]
     rng = _rng(seed, "blc")
     scale = _lattice((lo, hi))
-    ticks = [t for t, _ in _sweep((lo, hi), scale)] or [0]
+    ticks = _ticks((lo, hi), scale) or [0]
     n = len(ticks)
     while len(out) < count + 2:
         picks = sorted(rng.sample(range(n), rng.randint(0, min(4, n))))

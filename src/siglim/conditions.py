@@ -25,7 +25,7 @@ from typing import (
     TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple, Sequence,
 )
 
-from .boolfn import BoolFn, and_fn, apply_fn, fn_compose, fn_leq, identity_fn, or_fn
+from .boolfn import BoolFn, and_fn, apply_pair, fn_compose, fn_leq, identity_fn, or_fn
 from .errors import (
     ArityMismatch,
     BlockArityMismatch,
@@ -45,7 +45,7 @@ from .signals import (
     Time,
     _lattice,
     _shrink,
-    _sweep,
+    _ticks,
     as_time,
     breakpoints,
     combine,
@@ -206,8 +206,9 @@ def _finite_within(
 
 
 def _sol_admits(f: BoolFn, g: BoolFn, u: MultiSignal) -> Callable[[Signal], Bit]:
-    lam = apply_fn(f, u).eventual_value()
-    mu = apply_fn(g, u).eventual_value()
+    # an image settles to the bound function of the inputs' settled values
+    settled = [x.eventual_value() for x in u]
+    lam, mu = f(*settled), g(*settled)
     return lambda x: int(lam <= x.eventual_value() <= mu)
 
 
@@ -244,7 +245,7 @@ class Sol(LimitCondition):
         return _sol_admits(self.f, self.g, u)
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        lo, hi = apply_fn(self.f, u), apply_fn(self.g, u)
+        lo, hi = apply_pair(self.f, self.g, u)
         lam, mu = lo.eventual_value(), hi.eventual_value()
         out = [lo, hi, constant(lam), constant(mu)]
         rng = _rng(seed, "sol")
@@ -472,7 +473,7 @@ def _grid_times(
     a tick.
     """
     scale = lcm(_lattice(signals), *[d.denominator for d in deltas]) * (2 if refined else 1)
-    base = [t for t, _ in _sweep(signals, scale)]
+    base = _ticks(signals, scale)
     times = {0, *base}
     for d in deltas:
         d = d.numerator * (scale // d.denominator)
@@ -485,9 +486,12 @@ def _grid_times(
     return scale, grid[:64]
 
 
+_CLAMP = (0, 0, 0, 1, 1, 1, 1, 1)  # a | (b & c) in `combine`'s table order
+
+
 def _clamp(x: Signal, lo: Signal, hi: Signal) -> Signal:
     """lo | (x & hi), in one walk over the three signals."""
-    return combine(lambda y, v, z: y | (v & z), lo, x, hi)
+    return combine(_CLAMP, lo, x, hi)
 
 
 def _adjoints(p: BlcParams, x: Signal) -> tuple[Signal, Signal]:
@@ -527,7 +531,7 @@ def _constructed_candidates(
             cands += [lo, hi, _clamp(z, lo, hi)]
     elif env is not None:
         cands += list(env)
-    cands += [apply_fn(j.f, blk), apply_fn(j.g, blk), constant(0), constant(1)]
+    cands += [*apply_pair(j.f, j.g, blk), constant(0), constant(1)]
     return cands
 
 

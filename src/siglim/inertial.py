@@ -25,11 +25,12 @@ from .signals import (
     MultiSignal,
     Signal,
     Time,
-    _sweep,
+    _ticks,
     as_time,
     make_signal,
+    signal_between,
     signal_leq,
-    translate_all,
+    translate,
     values_along,
 )
 
@@ -54,7 +55,14 @@ class Flc(LimitCondition):
         return self.f
 
     def _output(self, u: MultiSignal) -> Signal:
-        return apply_fn(self.f, translate_all(u, self.delay))
+        """f of the inputs delay ago: the image of u, translated once.
+
+        A shift commutes with a pointwise function, so this is
+        `apply_fn(f, translate_all(u, delay))` as a function of time; both
+        are canonical signals, so they are equal as values too.  It shifts
+        one image instead of every input.
+        """
+        return translate(apply_fn(self.f, u), self.delay)
 
     def envelopes(self, u: MultiSignal) -> tuple[Signal, Signal]:
         y = self._output(u)
@@ -234,7 +242,7 @@ def _dwell_grid(lo: Signal, hi: Signal, a: AicParams) -> list[Time]:
     # one lattice and turned into times once.
     scale = lcm(lo.scale, hi.scale, a.delta_r.denominator, a.delta_f.denominator)
     r, f = (d.numerator * (scale // d.denominator) for d in (a.delta_r, a.delta_f))
-    base = [t for t, _ in _sweep((lo, hi), scale)]
+    base = _ticks((lo, hi), scale)
     extras: set[int] = set()
     for s in {i * r + j * f for i in range(4) for j in range(4) if 0 < i + j <= 3}:
         extras.update([t + s for t in base])
@@ -267,7 +275,7 @@ def _dwell_draws(
             x = _dwell_dfs(grid, bounds, a, _Budget(max_nodes), rng)
         else:  # constant envelopes: the constant lo is a witness
             x = Signal(lo.initial)
-        if x is None or signal_leq(lo, x) and signal_leq(x, hi) and aic_contains(x, a):
+        if x is None or signal_between(lo, x, hi) and aic_contains(x, a):
             return x
         raise AssertionError("witness construction produced an invalid signal")
 

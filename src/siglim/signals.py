@@ -13,6 +13,15 @@ stores its times multiplied by their least common denominator, and every walk
 arithmetic only, linear in the number of transitions.  Every time is exactly
 tick / scale, so every operation here is exact; nothing in this module ever
 rounds.
+
+Every walk over several signals is one merge kernel, `_sweep`.  It packs
+each transition into one int, `tick << s | j` for signal j, sorts them as
+plain ints and keeps the signals' values packed in one int code, which
+indexes a truth table once per distinct time.  `combine` reads a
+`BoolFn`'s table, a tuple of bits or a memo of its op; `_images` takes the
+images of several tables in one walk, as the bounded envelopes do for their
+two bound functions; and `signal_leq` and `signal_between` stop at the
+first violation.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -50,6 +60,14 @@ def _as_bit(value: int) -> Bit:
 
 
 _set = object.__setattr__
+
+# truth tables in `_code` order, the first argument most significant
+_AND = (0, 0, 0, 1)
+_OR = (0, 1, 1, 1)
+_XOR = (0, 1, 1, 0)
+_LEQ = (1, 1, 0, 1)  # a <= b
+_BETWEEN = (1, 1, 0, 1, 0, 0, 0, 1)  # a <= b <= c
+_BITS = frozenset((0, 1))
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -149,13 +167,13 @@ class Signal:
         return Signal._on(1 - self.initial, self.scale, self.ticks)
 
     def __and__(self, other: "Signal") -> "Signal":
-        return combine(lambda a, b: a & b, self, other)
+        return combine(_AND, self, other)
 
     def __or__(self, other: "Signal") -> "Signal":
-        return combine(lambda a, b: a | b, self, other)
+        return combine(_OR, self, other)
 
     def __xor__(self, other: "Signal") -> "Signal":
-        return combine(lambda a, b: a ^ b, self, other)
+        return combine(_XOR, self, other)
 
 
 MultiSignal = tuple[Signal, ...]
@@ -235,58 +253,129 @@ def _bits(code: int, n: int) -> tuple[Bit, ...]:
     return tuple((code >> k) & 1 for k in range(n - 1, -1, -1))
 
 
-def _sweep(signals: Sequence[Signal], scale: int) -> Iterator[tuple[int, int]]:
-    """Walk the signals' transitions once, in time order.
+@cache
+def _flips(n: int) -> tuple[int, ...]:
+    """Signal j's bit in a code over n signals, for j in range(n)."""
+    return tuple(1 << (n - 1 - j) for j in range(n))
 
-    `scale` is a common multiple of the signals' scales.  Yields (tick, code)
-    once per distinct transition time tick / scale, where code holds the
-    signals' values from that time on as `_code` packs them.  Coincident
-    transitions fold into one step.  The events are (tick, bit mask) int
-    pairs: each signal's form one sorted run, which Timsort finds and
-    merges, so the walk costs a few int comparisons per transition.
+
+def _sweep(
+    signals: Sequence[Signal], scale: int, table: Sequence[int], stop: int = -1,
+) -> tuple[int, list[int], list[int]]:
+    """Walk the signals' transitions once, in time order, through a table.
+
+    `scale` is a common multiple of the signals' scales.  The code of a time
+    packs the signals' values there as `_code` does, and `table[code]` is
+    the value the walk reports.  Returns (first, ticks, values): the value
+    on the unbounded left piece, then each tick where the value changes
+    with the value from that tick on.  With `range(1 << n)` as the table the
+    value is the code itself, which changes at every transition time.  The
+    walk returns early after the first change to `stop`.
+
+    Each transition is one int, `tick << s | j` with `s = n.bit_length()`
+    and j the signal's index, so a plain int sort orders the events by
+    time, negative ticks included; each signal's events form one sorted
+    run, which Timsort finds and merges.  Coincident transitions fold into
+    one step, and the table is read once per distinct time.
     """
-    code, mask = 0, 1 << len(signals)
-    events: list[tuple[int, int]] = []
-    for x in signals:
-        code, mask = code << 1 | x.initial, mask >> 1
+    n = len(signals)
+    s = n.bit_length()
+    code = 0
+    events: list[int] = []
+    for j, x in enumerate(signals):
+        code = code << 1 | x.initial
         f = scale // x.scale
-        events += [(t * f, mask) for t in x.ticks]
-    if not events:
-        return
+        events += [t * f << s | j for t in x.ticks]
+    first = cur = table[code]
+    ticks: list[int] = []
+    values: list[int] = []
+    if not events or cur == stop:
+        return first, ticks, values
     events.sort()
-    prev = events[0][0]
-    for t, flip in events:
+    flips, low = _flips(n), (1 << s) - 1
+    prev = events[0] >> s
+    for e in events:
+        t = e >> s
         if t != prev:
-            yield prev, code
+            v = table[code]
+            if v != cur:
+                ticks.append(prev)
+                values.append(v)
+                if v == stop:
+                    return first, ticks, values
+                cur = v
             prev = t
-        code ^= flip
-    yield prev, code
+        code ^= flips[e & low]
+    v = table[code]
+    if v != cur:
+        ticks.append(prev)
+        values.append(v)
+    return first, ticks, values
 
 
-def combine(op: Callable[..., int], *signals: Signal) -> Signal:
+def _ticks(signals: Sequence[Signal], scale: int) -> list[int]:
+    """The sorted union of the signals' transition ticks on scale."""
+    return _sweep(signals, scale, range(1 << len(signals)))[1]
+
+
+class _Memo(dict):
+    """A truth table filled on demand: op runs once per code looked up."""
+
+    def __init__(self, op: Callable[..., int], n: int) -> None:
+        self.op, self.n = op, n
+
+    def __missing__(self, code: int) -> Bit:
+        v = self[code] = _as_bit(self.op(*_bits(code, self.n)))
+        return v
+
+
+def combine(op: Callable[..., int] | Sequence[Bit], *signals: Signal) -> Signal:
     """Pointwise combination of signals under a Boolean operation.
 
-    op must be a function of its arguments alone: it runs once per distinct
-    combination of values the signals take, and the walk looks its answer
-    up at every other transition time.  The cost is linear in the total
-    number of transitions.
+    op is a truth table over the signals' packed values (`_code` order, the
+    first signal most significant): a `BoolFn`, whose `table` is read, or a
+    tuple of 2**n bits.  Any other op is a function of its arguments alone;
+    it runs once per distinct combination of values the signals take, and
+    the walk looks its answer up at every other transition time.  The cost
+    is linear in the total number of transitions.
     """
-    if not signals:
-        raise ArityMismatch("combine needs at least one signal")
     n = len(signals)
-    values = tuple(x.initial for x in signals)
-    cur = initial = _as_bit(op(*values))
-    seen = {_code(values): initial}
+    if not n:
+        raise ArityMismatch("combine needs at least one signal")
+    table = op if isinstance(op, tuple) else getattr(op, "table", None)
+    if table is None:
+        table = _Memo(op, n)
+    elif len(table) != 1 << n:
+        raise ArityMismatch(f"a table of {len(table)} entries applied to {n} signals")
+    elif table is op and not _BITS.issuperset(table):  # a BoolFn's is checked when built
+        raise PreconditionViolated("table entries must be 0 or 1")
     scale = _lattice(signals)
-    out: list[int] = []
-    for t, code in _sweep(signals, scale):
-        v = seen.get(code)
-        if v is None:
-            v = seen[code] = _as_bit(op(*_bits(code, n)))
-        if v != cur:
-            out.append(t)
-            cur = v
-    return Signal._on(initial, scale, tuple(out))
+    first, ticks, _ = _sweep(signals, scale, table)
+    return Signal._on(first, scale, tuple(ticks))
+
+
+@lru_cache(maxsize=256)
+def _packed(tables: tuple[tuple[Bit, ...], ...]) -> tuple[int, ...]:
+    """One table whose entries pack the tables' bits, the first most significant."""
+    return tuple(_code(bits) for bits in zip(*tables))
+
+
+def _images(tables: tuple[tuple[Bit, ...], ...], signals: Sequence[Signal]) -> tuple[Signal, ...]:
+    """`combine(table, *signals)` for each of the tables, in one walk.
+
+    The tables are truth tables of 2**n bits.  The walk reports their
+    packed values, and each image keeps the ticks where its bit changed.
+    """
+    k = len(tables)
+    scale = _lattice(signals)
+    first, ticks, values = _sweep(signals, scale, _packed(tables))
+    changed = [a ^ b for a, b in zip([first] + values, values)]
+    out = []
+    for i in range(k):
+        bit = 1 << (k - 1 - i)
+        mine = tuple([t for t, c in zip(ticks, changed) if c & bit])
+        out.append(Signal._on((first & bit) >> (k - 1 - i), scale, mine))
+    return tuple(out)
 
 
 def values_along(u: Sequence[Signal], times: Iterable[Time]) -> list[tuple[Bit, ...]]:
@@ -294,17 +383,17 @@ def values_along(u: Sequence[Signal], times: Iterable[Time]) -> list[tuple[Bit, 
 
     The cost is linear in the number of times plus transitions.
     """
+    n = len(u)
     scale = _lattice(u)
-    steps = _sweep(u, scale)
-    code = _code(x.initial for x in u)
-    step = next(steps, None)
+    code, ticks, codes = _sweep(u, scale, range(1 << n))
+    k, last = 0, len(ticks)
     out: list[tuple[Bit, ...]] = []
     for t in times:
-        k = t.numerator * scale // t.denominator
-        while step is not None and step[0] <= k:
-            code = step[1]
-            step = next(steps, None)
-        out.append(_bits(code, len(u)))
+        tick = t.numerator * scale // t.denominator
+        while k < last and ticks[k] <= tick:
+            code = codes[k]
+            k += 1
+        out.append(_bits(code, n))
     return out
 
 
@@ -313,7 +402,7 @@ def translate(x: Signal, d: Time | int) -> Signal:
     d = as_time(d)
     scale = lcm(x.scale, d.denominator)
     f, off = scale // x.scale, d.numerator * (scale // d.denominator)
-    return Signal._on(x.initial, scale, tuple(t * f + off for t in x.ticks))
+    return Signal._on(x.initial, scale, tuple([t * f + off for t in x.ticks]))
 
 
 def translate_all(u: MultiSignal, d: Time | int) -> MultiSignal:
@@ -379,16 +468,24 @@ def signal_leq(x: Signal, y: Signal) -> bool:
     One walk over both signals' transitions that stops at the first time
     where x exceeds y; no signal is built.
     """
-    if x.initial > y.initial:
-        return False
-    # code 0b10 packs x = 1, y = 0
-    return all(code != 0b10 for _, code in _sweep((x, y), _lattice((x, y))))
+    first, ticks, _ = _sweep((x, y), _lattice((x, y)), _LEQ, 0)
+    return first == 1 and not ticks
+
+
+def signal_between(lo: Signal, x: Signal, hi: Signal) -> bool:
+    """True iff lo(t) <= x(t) <= hi(t) for every t.
+
+    `signal_leq(lo, x) and signal_leq(x, hi)` in one walk over the three
+    signals' transitions, which stops at the first violation of either.
+    """
+    first, ticks, _ = _sweep((lo, x, hi), _lattice((lo, x, hi)), _BETWEEN, 0)
+    return first == 1 and not ticks
 
 
 def breakpoints(*signals: Signal) -> list[Time]:
     """Sorted union of all transition times of the given signals."""
     scale = _lattice(signals)
-    return [Fraction(t, scale) for t, _ in _sweep(signals, scale)]
+    return [Fraction(t, scale) for t in _ticks(signals, scale)]
 
 
 def first_one_time(x: Signal) -> Time | None:

@@ -13,14 +13,17 @@ from siglim import (
     InvalidBlc,
     MonotonyViolated,
     PreconditionViolated,
+    aic_params,
     and_fn,
     apply_fn,
+    bailc,
     blc,
     blc_compose,
     blc_included,
     blc_is_deterministic,
     blc_symmetric_rf,
     blc_symmetric_usual,
+    charfn,
     const_fn,
     constant,
     envelope_violation,
@@ -42,6 +45,7 @@ from siglim import (
     window_any,
     xor_fn,
 )
+import siglim.signals as algebra
 from siglim.bounded import _distributes, pattern_input, probe_inputs
 from strategies import multisignals, nonneg_rationals, signals
 
@@ -104,6 +108,51 @@ class TestEnvelopes:
         i = blc(and_fn(2), or_fn(2), p)
         for x in i.sample(u, 3, seed):
             assert i.contains(u, x) == 1
+
+
+class TestSweepCount:
+    """Merge walks counted, not clock time, as in the signal algebra's cost
+    tests: the envelopes take one walk over the inputs, and each membership
+    check one walk over the output and the envelopes."""
+
+    @pytest.fixture
+    def swept(self, monkeypatch):
+        calls = []
+        real = algebra._sweep
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(algebra, "_sweep", counting)
+        return calls
+
+    @staticmethod
+    def inputs():
+        x = charfn([(5 * k, 5 * k + 2) for k in range(300)])
+        y = charfn([(5 * k + F(1, 3), 5 * k + 3) for k in range(300)])
+        return x, y
+
+    def test_two_input_envelopes_take_one_walk(self, swept):
+        u = self.inputs()
+        i = blc(and_fn(2), or_fn(2), params(1, 2, 1, 2))
+        lo, hi = i.envelopes(u)
+        assert len(swept) == 1
+        assert (lo, hi) == (lower_envelope(and_fn(2), u, i.params),
+                            upper_envelope(or_fn(2), u, i.params))
+
+    def test_membership_takes_one_walk_per_output(self, swept):
+        u = self.inputs()
+        for i in (blc(and_fn(2), or_fn(2), params(F(1, 2), 2, F(1, 2), 2)),
+                  bailc(and_fn(2), or_fn(2), params(F(1, 2), 2, F(1, 2), 2), aic_params(F(1, 4), F(1, 4)))):
+            lo, hi = i.envelopes(u)
+            admits = i.admits(u)
+            assert hi != constant(1)
+            outputs = [lo, hi, constant(0), constant(1), lo | ~hi]
+            swept.clear()
+            bits = [admits(x) for x in outputs]
+            assert len(swept) == len(outputs)
+            assert bits[0] == 1 and bits[2:] == [0, 0, 0]
 
 
 class TestValidity:

@@ -18,6 +18,7 @@ from siglim import (
     aic_params,
     aic_set,
     and_fn,
+    apply_fn,
     bailc,
     bailc_compose,
     bailc_nonempty,
@@ -33,9 +34,10 @@ from siglim import (
     search_between,
     signal_leq,
     translate,
+    translate_all,
     xor_fn,
 )
-from strategies import multisignals, nonneg_rationals, signals
+from strategies import boolfns, multisignals, nonneg_rationals, signals
 
 F = Fraction
 
@@ -50,6 +52,17 @@ class TestFixedDelay:
         assert i.contains(u, expected) == 1
         assert i.contains(u, ~u[0]) == 0
         assert i.sample(u, 3, 0) == [expected]
+
+    @given(st.integers(1, 3).flatmap(lambda m: st.tuples(boolfns(m), multisignals(m, 8))),
+           nonneg_rationals(6, max_den=12))
+    @settings(max_examples=60)
+    def test_output_translates_the_image_once(self, fu, d):
+        # a shift commutes with a pointwise function: translating the one
+        # image equals the image of the translated inputs, as values
+        f, u = fu
+        want = apply_fn(f, translate_all(u, d))
+        assert flc(f, d).sample(u, 1, 0) == [want]
+        assert flc(f, d).contains(u, want) == 1
 
     def test_negative_delay_rejected(self):
         with pytest.raises(NegativeDelay):

@@ -16,6 +16,10 @@ from oracles import (
     window_probe_times,
 )
 from siglim import (
+    ArityMismatch,
+    Blc,
+    BlcParams,
+    BoolFn,
     DuplicateTransitionTime,
     InvalidWindow,
     OverlappingIntervals,
@@ -24,18 +28,29 @@ from siglim import (
     breakpoints,
     charfn,
     combine,
+    and_fn,
+    blc_valid,
+    const_fn,
     constant,
     first_one_time,
+    identity_fn,
+    lower_envelope,
     make_signal,
+    or_fn,
+    proj_fn,
     pulse,
+    signal_between,
     signal_leq,
     translate,
+    upper_envelope,
     values_along,
     window_all,
     window_any,
 )
-from siglim.signals import _shrink
-from strategies import boolfns, nonneg_rationals, rationals, signals
+from siglim.boolfn import MAX_ARITY
+from siglim.conditions import _clamp
+from siglim.signals import _bits, _code, _lattice, _shrink
+from strategies import blc_params, boolfn_pairs_leq, boolfns, nonneg_rationals, rationals, signals
 
 F = Fraction
 
@@ -406,3 +421,155 @@ class TestLattice:
     def test_every_op_output_is_on_its_least_lattice(self, x, y, d, m):
         for z in every_op(x, y, d, m):
             assert_on_lattice(z)
+
+
+# --- the merge kernel against the tuple-event walk it replaced ---------------
+
+def oracle_sweep(signals, scale):
+    """The tuple-event merge walk: yields (tick, code) once per distinct
+    transition time, from (tick, bit mask) pairs sorted as tuples."""
+    code, mask = 0, 1 << len(signals)
+    events = []
+    for x in signals:
+        code, mask = code << 1 | x.initial, mask >> 1
+        f = scale // x.scale
+        events += [(t * f, mask) for t in x.ticks]
+    if not events:
+        return
+    events.sort()
+    prev = events[0][0]
+    for t, flip in events:
+        if t != prev:
+            yield prev, code
+            prev = t
+        code ^= flip
+    yield prev, code
+
+
+def oracle_combine(op, *signals):
+    """combine on the tuple-event walk, with op called per transition time."""
+    n = len(signals)
+    cur = initial = op(*(x.initial for x in signals))
+    scale = _lattice(signals)
+    out = []
+    for t, code in oracle_sweep(signals, scale):
+        v = op(*_bits(code, n))
+        if v != cur:
+            out.append(t)
+            cur = v
+    return Signal._on(initial, scale, tuple(out))
+
+
+def oracle_values_along(u, times):
+    scale = _lattice(u)
+    steps = list(oracle_sweep(u, scale))
+    code, k, out = _code(x.initial for x in u), 0, []
+    for t in times:
+        while k < len(steps) and steps[k][0] <= t * scale:
+            code = steps[k][1]
+            k += 1
+        out.append(_bits(code, len(u)))
+    return out
+
+
+@st.composite
+def signal_tuples(draw, min_size: int = 1, max_size: int = MAX_ARITY) -> list[Signal]:
+    """Signals on mixed scales that often switch together: each takes its
+    times from one small pool (negative times included) or, once in a
+    while, none, which makes a constant."""
+    pool = sorted(set(draw(st.lists(rationals(-12, 12, max_den=6), min_size=1, max_size=8))))
+    out = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        initial = draw(st.integers(0, 1))
+        times = [t for t in pool if draw(st.booleans())]
+        out.append(make_signal(initial, [(t, (initial + k + 1) % 2) for k, t in enumerate(times)]))
+    return out
+
+
+def random_table(seed: int, n: int) -> tuple[int, ...]:
+    rng = random.Random(seed)
+    return tuple(rng.getrandbits(1) for _ in range(1 << n))
+
+
+class TestKernel:
+    """The packed-int kernel gives the tuple-event walk's answers, for every
+    arity up to MAX_ARITY, whose index needs five bits."""
+
+    @given(signal_tuples(), st.integers(0, 2**32))
+    @settings(max_examples=80)
+    def test_combine_agrees_with_the_oracle(self, xs, seed):
+        n = len(xs)
+        table = random_table(seed, n)
+        want = oracle_combine(lambda *bits: table[_code(bits)], *xs)
+        assert combine(table, *xs) == want
+        assert combine(BoolFn(n, table), *xs) == want
+        assert combine(lambda *bits: table[_code(bits)], *xs) == want
+        assert_canonical(want)
+
+    @given(signal_tuples(), st.lists(rationals(-14, 14, max_den=12), max_size=6))
+    @settings(max_examples=80)
+    def test_breakpoints_and_values_agree_with_the_oracle(self, xs, extra):
+        scale = _lattice(xs)
+        assert breakpoints(*xs) == [F(t, scale) for t, _ in oracle_sweep(xs, scale)]
+        times = sorted(probe_times(xs) + extra)
+        assert values_along(xs, times) == oracle_values_along(xs, times)
+
+    @given(signal_tuples(2, 2))
+    def test_leq_agrees_with_the_oracle(self, xy):
+        want = oracle_combine(lambda a, b: int(a <= b), *xy) == constant(1)
+        assert signal_leq(*xy) == want
+
+    @given(signal_tuples(3, 3))
+    def test_one_walk_membership_agrees_with_two(self, xs):
+        lo, x, hi = xs
+        want = signal_leq(lo, x) and signal_leq(x, hi)
+        assert signal_between(lo, x, hi) == want
+        # the clamp of x lies between lo and hi whenever lo <= hi
+        if signal_leq(lo, hi):
+            assert signal_between(lo, lo | (x & hi), hi)
+
+    def test_membership_stops_at_the_first_violation(self):
+        # x exceeds hi on [-5, -4), before every other transition
+        lo, hi = constant(0), ~pulse(-5, -4)
+        x = make_signal(1, [(k, k % 2) for k in range(-4, 400)])
+        assert not signal_between(lo, x, hi)
+        assert signal_between(lo, x & hi, hi)
+
+    def test_tables_are_checked(self):
+        with pytest.raises(ArityMismatch):
+            combine((0, 1), pulse(0, 1), pulse(1, 2))
+        with pytest.raises(PreconditionViolated):
+            combine((0, 2), pulse(0, 1))
+
+    def test_fixed_tables_match_the_operators(self):
+        x, y = pulse(-3, 2), charfn([(F(-1, 2), F(1, 3)), (4, 5)])
+        assert x & y == oracle_combine(lambda a, b: a & b, x, y)
+        assert x | y == oracle_combine(lambda a, b: a | b, x, y)
+        assert x ^ y == oracle_combine(lambda a, b: a ^ b, x, y)
+        assert _clamp(x, y & x, y | x) == oracle_combine(
+            lambda a, b, c: a | (b & c), y & x, x, y | x)
+
+
+class TestEnvelopeWalk:
+    """Blc.envelopes takes both bound images in one walk over the inputs."""
+
+    @given(st.data(), blc_params())
+    @settings(max_examples=80)
+    def test_envelopes_agree_with_the_separate_envelopes(self, data, p):
+        m = data.draw(st.integers(1, 3))
+        f, g = data.draw(boolfn_pairs_leq(m))
+        if not blc_valid(f, g, p):
+            return
+        u = tuple(data.draw(signal_tuples(m, m)))
+        assert Blc(f, g, p).envelopes(u) == (lower_envelope(f, u, p), upper_envelope(g, u, p))
+
+    def test_one_input_and_shared_bounds(self):
+        u = (pulse(0, 3), make_signal(1, [(1, 0), (F(5, 2), 1)]))
+        p = BlcParams(1, 2, 1, 2)
+        pairs = [(proj_fn(2, 0), or_fn(2)), (and_fn(2), proj_fn(2, 1)),
+                 (and_fn(2), and_fn(2)), (const_fn(2, 0), const_fn(2, 1))]
+        for f, g in pairs:
+            assert Blc(f, g, p).envelopes(u) == (lower_envelope(f, u, p), upper_envelope(g, u, p))
+        x = pulse(1, 2)
+        assert Blc(identity_fn(), identity_fn(), p).envelopes((x,)) == (
+            window_all(x, 2, 1), window_any(x, 2, 1))
