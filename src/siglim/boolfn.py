@@ -131,9 +131,10 @@ def apply_pair(f: BoolFn, g: BoolFn, u: MultiSignal) -> tuple[Signal, Signal]:
     if f._one_input is not None or g._one_input is not None:
         return apply_fn(f, u), apply_fn(g, u)
     if not len(u) == f.arity == g.arity:
-        raise ArityMismatch(f"functions of arity {f.arity} and {g.arity} applied to {len(u)} signals")
-    lo, hi = _images((f.table, g.table), u)
-    return lo, hi
+        raise ArityMismatch(
+            f"functions of arity {f.arity} and {g.arity} applied to {len(u)} signals"
+        )
+    return _images((f.table, g.table), u)
 
 
 def fn_compose(f: BoolFn, inner: list[BoolFn] | tuple[BoolFn, ...]) -> BoolFn:

@@ -25,11 +25,11 @@ from siglim import (
     OverlappingIntervals,
     PreconditionViolated,
     Signal,
+    and_fn,
+    blc_valid,
     breakpoints,
     charfn,
     combine,
-    and_fn,
-    blc_valid,
     const_fn,
     constant,
     first_one_time,
@@ -49,7 +49,7 @@ from siglim import (
 )
 from siglim.boolfn import MAX_ARITY
 from siglim.conditions import _clamp
-from siglim.signals import _bits, _code, _lattice, _shrink
+from siglim.signals import _BETWEEN, _bits, _code, _lattice, _shrink, _sweep
 from strategies import blc_params, boolfn_pairs_leq, boolfns, nonneg_rationals, rationals, signals
 
 F = Fraction
@@ -533,6 +533,9 @@ class TestKernel:
         lo, hi = constant(0), ~pulse(-5, -4)
         x = make_signal(1, [(k, k % 2) for k in range(-4, 400)])
         assert not signal_between(lo, x, hi)
+        # the walk reports the violation at -5 and reads no further
+        assert _sweep((lo, x, hi), 1, _BETWEEN, 0) == (1, [-5], [0])
+        assert _sweep((lo, x, hi), 1, _BETWEEN) == (1, [-5, -4], [0, 1])
         assert signal_between(lo, x & hi, hi)
 
     def test_tables_are_checked(self):
