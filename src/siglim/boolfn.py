@@ -147,14 +147,13 @@ def fn_compose(f: BoolFn, inner: list[BoolFn] | tuple[BoolFn, ...]) -> BoolFn:
     total = sum(h.arity for h in inner)
     if total > MAX_ARITY:
         raise ArityMismatch(f"composed arity {total} exceeds {MAX_ARITY}")
-    table: list[Bit] = []
-    for a in product((0, 1), repeat=total):
-        args, pos = [], 0
-        for h in inner:
-            args.append(h(*a[pos : pos + h.arity]))
-            pos += h.arity
-        table.append(f(*args))
-    return BoolFn(total, tuple(table))
+    # block p's index is a slice of the composed index, and the product of
+    # the inner tables walks those slices in composed-index order; block p's
+    # value lands on f's index bit for argument p
+    m = f.arity
+    weights = [[v << (m - 1 - p) for v in h.table] for p, h in enumerate(inner)]
+    t = f.table
+    return BoolFn(total, tuple([t[sum(code)] for code in product(*weights)]))
 
 
 def fn_leq(f: BoolFn, g: BoolFn) -> bool:
@@ -175,14 +174,16 @@ class FnProps:
 
 
 def is_monotone(f: BoolFn) -> bool:
-    """Order preserving: raising any argument never lowers the output."""
-    for a in f.inputs():
-        fa = f(*a)
-        for p in range(f.arity):
-            if a[p] == 0:
-                b = a[:p] + (1,) + a[p + 1 :]
-                if fa > f(*b):
-                    return False
+    """Order preserving: raising any argument never lowers the output.
+
+    Raising argument p sets its index bit, so each bit is checked over the
+    table, in O(m * 2**m) table reads.
+    """
+    t = f.table
+    for k in range(f.arity):
+        bit = 1 << k
+        if any(t[i] > t[i | bit] for i in range(len(t)) if not i & bit):
+            return False
     return True
 
 
@@ -214,5 +215,6 @@ def fn_props(f: BoolFn, g: BoolFn | None = None) -> FnProps:
     min_g = min(g.table)
     mono = is_monotone(f) and is_monotone(g)
     sym = is_permutation_symmetric(f) and is_permutation_symmetric(g)
-    dual = all(1 - f(*a) == g(*(1 - b for b in a)) for a in f.inputs())
+    # complementing every argument reverses the table index: i -> 2**m - 1 - i
+    dual = all(a != b for a, b in zip(f.table, reversed(g.table)))
     return FnProps(int(leq), max_f, min_g, int(mono), int(sym), int(dual))

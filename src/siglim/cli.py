@@ -10,6 +10,7 @@ budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -226,7 +227,12 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 # --- dispatch ------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line, built on the first `main` call and kept for the
+    process: `parse_args` returns a fresh namespace each time, argparse copies
+    `--input`'s list default before appending to it, and no command mutates
+    its arguments."""
     parser = argparse.ArgumentParser(
         prog="siglim",
         description="evaluate, check and compose switching-time models "

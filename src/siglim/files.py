@@ -3,6 +3,13 @@
 Times serialize as strings "p" or "p/q", never floats, so parsing and
 serializing round-trip bit-exactly.  Model documents name a model kind plus
 its bound functions and parameters; combinators carry their children inline.
+
+A signal document is read straight onto the tick lattice: each time string
+splits into the ints p and q, the times go onto the least common
+denominator, and one int canonicaliser (`signals._from_ticks`) sorts them.
+Writing formats each tick over the signal's scale.  No `Fraction` is built
+per transition either way.  Each document is serialized to text whole and
+written to its file in one piece.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any
 
 from .boolfn import BoolFn, fn_from_bits
@@ -17,12 +25,12 @@ from .bounded import BlcParams, blc
 from .conditions import LimitCondition, lc_join, lc_meet, mc, sc, scf, serial, sol
 from .errors import InvalidDocument, SiglimError
 from .inertial import AicParams, bailc, flc
-from .signals import Signal, Time, make_signal
+from .signals import Signal, Time, _from_ticks
 
 MODEL_KINDS = ("flc", "blc", "bailc", "sol", "sc", "mc", "scf",
                "serial", "meet", "join")
 
-_TIME_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_TIME_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
 def format_time(t: Time) -> str:
@@ -32,12 +40,24 @@ def format_time(t: Time) -> str:
     return f"{t.numerator}/{t.denominator}"
 
 
-def parse_time(s: Any) -> Fraction:
-    if not isinstance(s, str) or not _TIME_RE.match(s):
+def _time_parts(s: Any) -> tuple[int, int]:
+    """(p, q) for the time string "p" or "p/q"; q > 0, not necessarily in lowest terms."""
+    m = _TIME_RE.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
         raise InvalidDocument(
             f"time must be a string 'p' or 'p/q' with integers, got {s!r}"
         )
-    return Fraction(s)
+    p, q = m.groups()
+    return int(p), int(q) if q else 1
+
+
+def parse_time(s: Any) -> Fraction:
+    return Fraction(*_time_parts(s))
+
+
+def _is_bit(v: Any) -> bool:
+    """0 or 1 as a JSON integer: not true, false or 1.0."""
+    return type(v) is int and v in (0, 1)
 
 
 def _require(doc: Any, key: str, context: str) -> Any:
@@ -57,47 +77,64 @@ def _known_keys(doc: dict, allowed: set[str], context: str) -> None:
 # --- signals -------------------------------------------------------------------
 
 def signal_to_doc(x: Signal) -> dict:
-    return {
-        "initial": x.initial,
-        "transitions": [[format_time(t), v] for t, v in x.transitions],
-    }
+    s, v = x.scale, x.initial
+    out = []
+    for t in x.ticks:
+        v ^= 1
+        g = gcd(t, s)
+        out.append([str(t // g) if g == s else f"{t // g}/{s // g}", v])
+    return {"initial": x.initial, "transitions": out}
 
 
 def signal_from_doc(doc: Any) -> Signal:
     initial = _require(doc, "initial", "signal document")
     raw = _require(doc, "transitions", "signal document")
     _known_keys(doc, {"initial", "transitions"}, "signal document")
-    if initial not in (0, 1):
+    if not _is_bit(initial):
         raise InvalidDocument(f"initial must be 0 or 1, got {initial!r}")
     if not isinstance(raw, list):
         raise InvalidDocument("transitions must be a list of [time, value] pairs")
-    pairs: list[tuple[Fraction, int]] = []
+    nums: list[int] = []
+    dens: list[int] = []
+    values: list[int] = []
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise InvalidDocument(f"transition entry {entry!r} is not a [time, value] pair")
         t, v = entry
-        if v not in (0, 1):
+        if not _is_bit(v):
             raise InvalidDocument(f"transition value must be 0 or 1, got {v!r}")
-        pairs.append((parse_time(t), v))
+        p, q = _time_parts(t)
+        nums.append(p)
+        dens.append(q)
+        values.append(v)
+    scale = lcm(*dens)
+    ticks = [p * (scale // q) for p, q in zip(nums, dens)]
     try:
-        return make_signal(initial, pairs)
+        return _from_ticks(initial, scale, ticks, values)
     except SiglimError as e:
         raise InvalidDocument(f"transitions do not form a canonical signal: {e}") from e
 
 
-def write_signal_file(path: str, x: Signal) -> None:
+def _write_doc(path: str, doc: dict) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(signal_to_doc(x), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _read_doc(path: str) -> Any:
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:
+            raise InvalidDocument(f"{path}: not valid structured text: {e}") from e
+
+
+def write_signal_file(path: str, x: Signal) -> None:
+    _write_doc(path, signal_to_doc(x))
 
 
 def read_signal_file(path: str) -> Signal:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as e:
-            raise InvalidDocument(f"{path}: not valid structured text: {e}") from e
-    return signal_from_doc(doc)
+    return signal_from_doc(_read_doc(path))
 
 
 # --- bound functions -----------------------------------------------------------
@@ -110,7 +147,7 @@ def fn_from_doc(doc: Any, context: str) -> BoolFn:
     arity = _require(doc, "arity", context)
     table = _require(doc, "table", context)
     _known_keys(doc, {"arity", "table"}, context)
-    if not isinstance(arity, int) or not isinstance(table, str):
+    if type(arity) is not int or not isinstance(table, str):
         raise InvalidDocument(f"{context} needs an integer arity and a table string")
     try:
         return fn_from_bits(arity, table)
@@ -178,7 +215,7 @@ def model_from_doc(doc: Any) -> LimitCondition:
     if kind == "mc":
         arity = _require(doc, "arity", "mc document")
         _known_keys(doc, {"kind", "arity"}, "mc document")
-        if not isinstance(arity, int) or arity < 1:
+        if type(arity) is not int or arity < 1:
             raise InvalidDocument(f"mc arity must be a positive integer, got {arity!r}")
         return mc(arity)
     if kind == "scf":
@@ -226,15 +263,8 @@ def model_from_doc(doc: Any) -> LimitCondition:
 
 
 def write_model_file(path: str, i: LimitCondition) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_doc(i), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_doc(path, model_to_doc(i))
 
 
 def read_model_file(path: str) -> LimitCondition:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as e:
-            raise InvalidDocument(f"{path}: not valid structured text: {e}") from e
-    return model_from_doc(doc)
+    return model_from_doc(_read_doc(path))

@@ -186,21 +186,34 @@ def make_signal(initial: int, transitions: Iterable[tuple[Time | int, int]] = ()
     time are rejected rather than reordered.
     """
     initial = _as_bit(initial)
-    items = sorted((as_time(t), _as_bit(v)) for t, v in transitions)
-    for (t1, _), (t2, _) in zip(items, items[1:]):
-        if t1 == t2:
-            raise DuplicateTransitionTime(f"two transitions at t = {t1}")
-    return _canonical(initial, items)
+    times: list[Time] = []
+    values: list[Bit] = []
+    for t, v in transitions:
+        times.append(as_time(t))
+        values.append(_as_bit(v))
+    scale = lcm(*[t.denominator for t in times])
+    ticks = [t.numerator * (scale // t.denominator) for t in times]
+    return _from_ticks(initial, scale, ticks, values)
 
 
-def _canonical(initial: Bit, pairs: Sequence[tuple[Time, Bit]]) -> Signal:
-    out: list[tuple[Time, Bit]] = []
-    cur = initial
-    for t, v in pairs:
-        if v != cur:
-            out.append((t, v))
-            cur = v
-    return Signal(initial, tuple(out))
+def _from_ticks(initial: Bit, scale: int, ticks: Sequence[int], values: Sequence[Bit]) -> Signal:
+    """The canonical signal switching to values[i] at ticks[i] / scale.
+
+    The pairs may come in any order.  Entries that repeat the current value
+    are dropped; two entries at the same tick raise.  Each pair sorts as one
+    int, `tick << 1 | value`, which orders by tick, negative ticks included.
+    """
+    out: list[int] = []
+    cur, prev = initial, None
+    for k in sorted([t << 1 | v for t, v in zip(ticks, values)]):
+        t = k >> 1
+        if t == prev:
+            raise DuplicateTransitionTime(f"two transitions at t = {Fraction(t, scale)}")
+        prev = t
+        if k & 1 != cur:
+            out.append(t)
+            cur ^= 1
+    return Signal._on(initial, scale, tuple(out))
 
 
 def constant(bit: int) -> Signal:
@@ -228,11 +241,7 @@ def charfn(intervals: Iterable[tuple[Time | int, Time | int]]) -> Signal:
             merged[-1] = (merged[-1][0], b)
         else:
             merged.append((a, b))
-    pairs: list[tuple[Time, Bit]] = []
-    for a, b in merged:
-        pairs.append((a, 1))
-        pairs.append((b, 0))
-    return _canonical(0, pairs)
+    return Signal(0, [(t, v) for a, b in merged for t, v in ((a, 1), (b, 0))])
 
 
 def _lattice(signals: Iterable[Signal]) -> int:

@@ -1,5 +1,6 @@
 """Truth tables, composition and the derived function properties."""
 
+import random
 from itertools import permutations, product
 
 import pytest
@@ -29,6 +30,7 @@ from siglim import (
     xor_fn,
 )
 from siglim import signals
+from siglim.boolfn import MAX_ARITY
 from strategies import boolfn_pairs_leq, boolfns, multisignals, rationals
 
 
@@ -199,3 +201,87 @@ class TestProps:
             if all(p <= q for p, q in zip(a, b))
         )
         assert is_monotone(f) == brute
+
+
+# --- the per-point definitions, kept as oracles ------------------------------
+
+def oracle_monotone(f: BoolFn) -> bool:
+    """Raising one argument of any point never lowers f there."""
+    for a in f.inputs():
+        for p in range(f.arity):
+            if a[p] == 0 and f(*a) > f(*(a[:p] + (1,) + a[p + 1:])):
+                return False
+    return True
+
+
+def oracle_dual(f: BoolFn, g: BoolFn) -> bool:
+    """not f(a) == g(not a) at every point a."""
+    return all(1 - f(*a) == g(*(1 - b for b in a)) for a in f.inputs())
+
+
+def oracle_compose_at(f: BoolFn, inner, a: tuple) -> int:
+    """f of the inner functions, each called on its block of the point a."""
+    args, pos = [], 0
+    for h in inner:
+        args.append(h(*a[pos:pos + h.arity]))
+        pos += h.arity
+    return f(*args)
+
+
+def random_fn(rng: random.Random, m: int) -> BoolFn:
+    r = rng.random()
+    if r < 0.15:  # the monotone and dual tables are rare among random ones
+        return rng.choice([and_fn(m), or_fn(m), const_fn(m, rng.randint(0, 1))])
+    return BoolFn(m, tuple(rng.randint(0, 1) for _ in range(1 << m)))
+
+
+class TestTableReads:
+    """The bit-arithmetic checks against the per-point definitions."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_monotone_and_dual(self, m):
+        rng = random.Random(m)
+        seen = set()
+        for _ in range(60):
+            f = random_fn(rng, m)
+            g = rng.choice([f, random_fn(rng, m),
+                            BoolFn(m, tuple(1 - v for v in reversed(f.table)))])
+            assert is_monotone(f) == oracle_monotone(f)
+            props = fn_props(f, g)
+            assert props.rf_dual == oracle_dual(f, g)
+            assert props.monotone == (oracle_monotone(f) and oracle_monotone(g))
+            seen.add((is_monotone(f), props.rf_dual))
+        assert len(seen) == 4  # both answers of both checks were drawn
+
+    def test_a_drop_along_each_bit_is_found(self):
+        # the constant 1 lowered at index 1 << k drops only along bit k
+        for m in range(1, 7):
+            for k in range(m):
+                t = [1] * (1 << m)
+                t[1 << k] = 0
+                f = BoolFn(m, tuple(t))
+                assert not is_monotone(f)
+                assert not oracle_monotone(f)
+
+    @pytest.mark.parametrize("arities", [
+        (1,), (2,), (1, 1), (3, 1), (1, 2, 3), (2, 2, 2), (1, 1, 1, 1, 1, 1), (6,),
+        (4, 4), (5, 6, 5), (8, 8), (16,), (1,) * 16, (3, 1, 4, 1, 5, 2),
+    ])
+    def test_compose_against_blocks(self, arities):
+        rng = random.Random(sum(arities) * 31 + len(arities))
+        f = random_fn(rng, len(arities))
+        inner = [random_fn(rng, n) for n in arities]
+        g = fn_compose(f, inner)
+        total = sum(arities)
+        assert g.arity == total <= MAX_ARITY
+        if total <= 10:
+            points = list(g.inputs())
+        else:
+            points = [tuple(rng.randint(0, 1) for _ in range(total)) for _ in range(3000)]
+            points += [(0,) * total, (1,) * total]
+        for a in points:
+            assert g(*a) == oracle_compose_at(f, inner, a)
+
+    def test_compose_beyond_the_limit_is_refused(self):
+        with pytest.raises(ArityMismatch):
+            fn_compose(and_fn(2), [and_fn(8), and_fn(MAX_ARITY - 7)])

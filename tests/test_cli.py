@@ -314,6 +314,49 @@ class TestProps:
         assert "PreconditionViolated" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    """One parser serves every `main` call in a process; each call sees only
+    its own arguments."""
+
+    def test_calls_in_one_process_see_only_their_arguments(self, ws, capsys, monkeypatch):
+        import siglim.cli
+
+        parser = siglim.cli._build_parser()
+        assert siglim.cli._build_parser() is parser
+        seen = []
+        real = parser.parse_args
+
+        def spy(argv=None):
+            args = real(argv)
+            seen.append(args)
+            return args
+
+        monkeypatch.setattr(parser, "parse_args", spy)
+        model = ws.model("and.json", blc(and_fn(2), and_fn(2), BlcParams(0, 0, 0, 0)))
+        a, b = ws.signal("a.json", pulse(0, 2)), ws.signal("b.json", pulse(1, 3))
+        cand = ws.signal("c.json", pulse(1, 2))
+        assert main(["check", "--model", model, "--input", a, "--input", b,
+                     "--candidate", cand]) == 0
+        assert main(["check", "--aic", "1/2", "1/2", "--candidate", cand]) == 0
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", model, a, b, "--witness", "two", "--out", ws.path("y.json")])
+        assert exit_.value.code == 2
+        out = ws.path("y.json")
+        assert main(["eval", model, a, b, "--out", out]) == 0
+        assert read_signal_file(out) == pulse(1, 2)
+        assert capsys.readouterr().out.split() == ["ok", "ok", out]
+
+        first, second, third = seen
+        assert (first.model, first.inputs, first.aic) == (model, [a, b], None)
+        assert (second.model, second.inputs, second.aic) == (None, [], ["1/2", "1/2"])
+        assert (third.model, third.inputs, third.witness) == (model, [a, b], None)
+        assert not hasattr(third, "candidate")
+        assert len({id(n) for n in seen}) == 3
+        inputs = next(x for x in parser._subparsers._group_actions[0].choices["check"]
+                      ._actions if x.dest == "inputs")
+        assert inputs.default == []
+
+
 @pytest.mark.parametrize("module", ["siglim", "siglim.cli"])
 class TestModuleEntry:
     """`python3 -m siglim` (or `-m siglim.cli`) runs the command line."""
