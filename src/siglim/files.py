@@ -30,7 +30,7 @@ from .signals import Signal, Time, _from_ticks
 MODEL_KINDS = ("flc", "blc", "bailc", "sol", "sc", "mc", "scf",
                "serial", "meet", "join")
 
-_TIME_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+_TIME_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def format_time(t: Time) -> str:

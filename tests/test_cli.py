@@ -352,9 +352,7 @@ class TestParserReuse:
         assert (third.model, third.inputs, third.witness) == (model, [a, b], None)
         assert not hasattr(third, "candidate")
         assert len({id(n) for n in seen}) == 3
-        inputs = next(x for x in parser._subparsers._group_actions[0].choices["check"]
-                      ._actions if x.dest == "inputs")
-        assert inputs.default == []
+        assert real(["check", "--candidate", cand]).inputs == []
 
 
 @pytest.mark.parametrize("module", ["siglim", "siglim.cli"])
