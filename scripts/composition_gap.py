@@ -66,7 +66,7 @@ def main() -> int:
     print(f"summed-parameter form accepts the pair: contains = {cbit}")
     assert cbit == 1
 
-    big = SearchBudget(max_nodes=6000, refine=True, samples=10)
+    big = SearchBudget(max_nodes=6000, samples=10)
     bit, exhausted = serial_membership(outer, [inner], u, x, big, seed=0)
     print(f"witness search over intermediate signals: bit = {bit}, "
           f"exhausted = {exhausted} (decisive, budget not the limit)")

@@ -15,11 +15,13 @@ import json
 import math
 import os
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 
 from .conditions import LimitCondition, closed_form
 from .errors import PreconditionViolated, SiglimError
 from .files import (
+    format_tick,
     format_time,
     model_from_doc,
     model_to_doc,
@@ -31,7 +33,7 @@ from .files import (
 )
 from .inertial import AicParams, Bailc, aic_violation
 from .props import GenConfig, describe, replay_case, run_theorem, theorem_ids
-from .signals import Signal, Time, breakpoints, first_one_time, signal_leq, values_along
+from .signals import Signal, Time, _lattice, breakpoints, first_one_time
 
 
 def _read_inputs(paths: list[str]) -> tuple[Signal, ...]:
@@ -167,28 +169,41 @@ def cmd_props(args: argparse.Namespace) -> int:
 
 # --- render --------------------------------------------------------------------
 
+def _window(x: Signal, lo: Time, hi: Time, lattice: int, closed: bool) -> list[int]:
+    """The transitions of x in (lo, hi], or in [lo, hi] when closed, as
+    ticks on lattice, a multiple of x.scale."""
+    k = bisect_right(x.ticks, (lo.numerator * x.scale - closed) // lo.denominator)
+    end = bisect_right(x.ticks, hi.numerator * x.scale // hi.denominator)
+    return [t * (lattice // x.scale) for t in x.ticks[k:end]]
+
+
 def _render_ascii(names: list[str], xs: list[Signal], lo: Fraction, hi: Fraction) -> str:
-    cols = [lo] + [t for t in breakpoints(*xs) if lo < t <= hi]
+    lattice = _lattice(xs)
+    windows = [_window(x, lo, hi, lattice, False) for x in xs]
+    cols = sorted(set().union(*windows))
     width = max(len(n) for n in names + ["time"])
-    cells = [format_time(t) for t in cols]
+    cells = [format_time(lo)] + [format_tick(t, lattice) for t in cols]
     lines = ["  ".join([f"{'time':<{width}}"] + cells)]
-    columns = values_along(xs, cols)
-    for k, name in enumerate(names):
-        row = [f"{col[k]!s:>{len(c)}}" for col, c in zip(columns, cells)]
+    for name, x, ticks in zip(names, xs, windows):
+        at_lo = x.value_at(lo)
+        values = [at_lo] + [at_lo ^ (bisect_right(ticks, t) & 1) for t in cols]
+        row = [f"{v:>{len(c)}}" for v, c in zip(values, cells)]
         lines.append("  ".join([f"{name:<{width}}"] + row))
     return "\n".join(lines)
 
 
 def _render_vcd(names: list[str], xs: list[Signal], lo: Fraction, hi: Fraction) -> str:
     idents = [chr(33 + k) for k in range(len(xs))]
-    changes: dict[Time, list[str]] = {}
+    lattice = _lattice(xs)
+    changes: dict[int, list[str]] = {}
     for x, ident in zip(xs, idents):
-        for t, v in x.transitions:
-            if lo <= t <= hi:
-                changes.setdefault(t, []).append(f"{v}{ident}")
+        before = x.left_limit(lo)
+        for n, t in enumerate(_window(x, lo, hi, lattice, True), 1):
+            changes.setdefault(t, []).append(f"{before ^ (n & 1)}{ident}")
     times = sorted(changes)
-    scale = math.lcm(*(t.denominator for t in times))
-    offset = -min(times[0] * scale, 0) if times else 0
+    g = math.gcd(lattice, *times)
+    scale = lattice // g
+    offset = -min(times[0] // g, 0) if times else 0
     out = []
     if scale == 1:
         out.append("$timescale 1 s $end")
@@ -205,7 +220,7 @@ def _render_vcd(names: list[str], xs: list[Signal], lo: Fraction, hi: Fraction) 
         out.append(f"{x.value_at(lo)}{ident}")
     out.append("$end")
     for t in times:
-        out.append(f"#{t * scale + offset}")
+        out.append(f"#{t // g + offset}")
         out += changes[t]
     return "\n".join(out) + "\n"
 

@@ -30,6 +30,7 @@ from .errors import (
     ArityMismatch,
     BlockArityMismatch,
     DistributivityUnverified,
+    EmptyBailc,
     EmptyMeet,
     HypothesisViolated,
     InexactComposition,
@@ -65,7 +66,6 @@ class SearchBudget:
     """Caps for all witness searches; exceeding them is inconclusive, never wrong."""
 
     max_nodes: int = 2000
-    refine: bool = True
     samples: int = 6
 
     def __post_init__(self) -> None:
@@ -216,7 +216,7 @@ def sol_contains(f: BoolFn, g: BoolFn, u: MultiSignal, x: Signal) -> Bit:
     """Eventual-value sandwich: f's settled output <= x's <= g's.
 
     For finitely-switching signals this is exactly membership in the loosest
-    condition with bounds (f, g); tighter models refine it pointwise.
+    condition with bounds (f, g); tighter models narrow it pointwise.
     """
     return _sol_admits(f, g, u)(x)
 
@@ -461,29 +461,17 @@ def _composed_bounds(i: LimitCondition, js: Sequence[LimitCondition]) -> tuple[B
     return F, G
 
 
-def _grid_times(
-    signals: Sequence[Signal], deltas: set[Time], refined: bool
-) -> tuple[int, list[int]]:
-    """(scale, ticks): the first 64 points of a candidate grid, as ticks on
-    one lattice.
-
-    The grid holds time 0, the signals' breakpoints and each breakpoint
-    shifted by every delta both ways; the refined grid adds the midpoint of
-    each pair of neighbours, on a lattice doubled so that every midpoint is
-    a tick.
-    """
-    scale = lcm(_lattice(signals), *[d.denominator for d in deltas]) * (2 if refined else 1)
+def _grid_times(signals: Sequence[Signal], deltas: set[Time]) -> tuple[int, list[int]]:
+    """(scale, ticks): the first 64 points of the candidate grid, as ticks on
+    one lattice: time 0, the signals' breakpoints and each breakpoint
+    shifted by every delta both ways."""
+    scale = lcm(_lattice(signals), *[d.denominator for d in deltas])
     base = _ticks(signals, scale)
     times = {0, *base}
     for d in deltas:
         d = d.numerator * (scale // d.denominator)
         times.update([t + d for t in base] + [t - d for t in base])
-    grid = sorted(times)
-    if refined:
-        # a midpoint lies strictly between its neighbours: interleave them
-        mids = [(a + b) // 2 for a, b in zip(grid[:32], grid[1:33])]
-        grid = [t for pair in zip(grid, mids) for t in pair] + grid[len(mids):]
-    return scale, grid[:64]
+    return scale, sorted(times)[:64]
 
 
 _CLAMP = (0, 0, 0, 1, 1, 1, 1, 1)  # a | (b & c) in `combine`'s table order
@@ -560,7 +548,7 @@ def _runs(s: Signal, b: Bit, scale: int, grid: list[int]) -> tuple[int, int, lis
 
 def _grid_candidates(
     blk: MultiSignal, x: Signal, env: tuple[Signal, Signal] | None, deltas: set[Time],
-    budget: SearchBudget, refined: bool,
+    budget: SearchBudget,
 ) -> Iterator[Signal]:
     """Steps at each grid time, then pulses on each pair of grid times, in
     that order; the pulses stop once more than 4 * max_nodes candidates were
@@ -573,10 +561,10 @@ def _grid_candidates(
     env None nothing is left out.
     """
     lo, hi = env or (constant(0), constant(1))
-    scale, grid = _grid_times((*blk, x), deltas, refined)
+    scale, grid = _grid_times((*blk, x), deltas)
     lattice = lcm(scale, lo.scale, hi.scale)
     grid = [t * (lattice // scale) for t in grid]
-    # a candidate must be 0 wherever lo is 1 and 1 wherever hi is 0
+    # a candidate must be 1 wherever lo is 1 and 0 wherever hi is 0
     lo_before, lo_after, lo_ends = _runs(lo, 0, lattice, grid)
     hi_before, hi_after, hi_ends = _runs(hi, 1, lattice, grid)
     n = len(grid)
@@ -619,7 +607,7 @@ class _SerialSearch:
     Construction does the per-input work once: each stage's membership
     predicate, envelopes and admitted samples, or its finite output list.
     Calling the search with an output x does the per-output work: the
-    constructed candidates, then the rounds.
+    constructed candidates, the first pass, then the grid round.
     """
 
     def __init__(self, i: LimitCondition, js: Sequence[LimitCondition], u: MultiSignal,
@@ -636,14 +624,14 @@ class _SerialSearch:
                 continue
             try:
                 raw = j.sample(blk, budget.samples, seed)
-            except EmptyMeet:
+            except (EmptyMeet, EmptyBailc):
                 raw = []
             members = _distinct_members(raw, admits, self.cap)
             self.stages.append(_Stage(j, blk, admits, j.envelopes(blk), members, False))
 
     def _fixed(self, x: Signal) -> list[_Stage]:
         """The stages with the candidates constructed from x that each
-        admits added to its members, which every grid round's list starts
+        admits added to its members, which the grid round's lists start
         with."""
         out = []
         for st in self.stages:
@@ -655,9 +643,9 @@ class _SerialSearch:
         return out
 
     def _first_pass(self, fixed: list[_Stage]) -> Iterator[tuple[Signal, ...]]:
-        """The combinations of the fixed members that the first grid round
-        reaches within max_nodes even when each list it extends grows to cap
-        members, in that round's order."""
+        """The combinations of the fixed members that the grid round reaches
+        within max_nodes even when each list it extends grows to cap members,
+        in that round's order."""
         sizes = [len(st.members) if st.final else self.cap for st in fixed]
         for idx in product(*[range(len(st.members)) for st in fixed]):
             pos = 0
@@ -681,23 +669,18 @@ class _SerialSearch:
                         return True
             return False
 
-        # a 1 from the first pass is a 1 the first grid round would give
+        # a 1 from the first pass is a 1 the grid round would give
         if hit(self._first_pass(fixed)):
             return 1, False
-        exhausted = False
-        rounds = 1 + (budget.refine and not all(st.final for st in fixed))
-        for refined in (False, True)[:rounds]:
-            lists = [
-                st.members if st.final else _distinct_members(
-                    _grid_candidates(st.block, x, st.env, self.deltas, budget, refined),
-                    st.admits, cap, st.members)
-                for st in fixed
-            ]
-            if hit(islice(product(*lists), budget.max_nodes)):
-                return 1, False
-            if prod(map(len, lists)) > budget.max_nodes or any(len(lst) >= cap for lst in lists):
-                exhausted = True
-        return 0, exhausted
+        lists = [
+            st.members if st.final else _distinct_members(
+                _grid_candidates(st.block, x, st.env, self.deltas, budget),
+                st.admits, cap, st.members)
+            for st in fixed
+        ]
+        if hit(islice(product(*lists), budget.max_nodes)):
+            return 1, False
+        return 0, prod(map(len, lists)) > budget.max_nodes or any(len(lst) >= cap for lst in lists)
 
 
 def serial_search(
@@ -735,13 +718,12 @@ def serial_membership(
     Each stage's fixed members come first: its samples, or its finite output
     list, and the candidates constructed from x that it admits.  A first
     pass asks the outer stage about their combinations, but only those the
-    first grid round would reach within budget.max_nodes, so a 1 from it is
-    a 1 that round would give.  Then a coarse grid round extends each
-    stage's list, and, when budget.refine is set, a round on the grid
-    refined by midpoints; grid candidates outside a stage's envelopes are
-    never built, and no combination is asked twice.  When every list is
-    final (deterministic stages give their one output), the grid adds
-    nothing and the first pass answers exactly.
+    grid round would reach within budget.max_nodes, so a 1 from it is a 1
+    that round would give.  Then one grid round extends each stage's list;
+    grid candidates outside a stage's envelopes are never built, and no
+    combination is asked twice.  When every list is final (deterministic
+    stages give their one output), the grid adds nothing and the first pass
+    answers exactly.
     """
     return serial_search(i, js, u, budget, seed)(x)
 
@@ -869,7 +851,7 @@ def check_deterministic(
         for s in range(3):
             try:
                 pool += i.sample(u, budget.samples, s)
-            except EmptyMeet:
+            except (EmptyMeet, EmptyBailc):
                 continue
         pool += [constant(0), constant(1)]
         if len(_distinct_members(pool, i.admits(u), cap=2)) == 2:

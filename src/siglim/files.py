@@ -35,9 +35,7 @@ _TIME_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 def format_time(t: Time) -> str:
     t = Fraction(t)
-    if t.denominator == 1:
-        return str(t.numerator)
-    return f"{t.numerator}/{t.denominator}"
+    return format_tick(t.numerator, t.denominator)
 
 
 def _time_parts(s: Any) -> tuple[int, int]:
@@ -76,13 +74,18 @@ def _known_keys(doc: dict, allowed: set[str], context: str) -> None:
 
 # --- signals -------------------------------------------------------------------
 
+def format_tick(t: int, scale: int) -> str:
+    """`format_time` of the time t / scale, from the ints alone."""
+    g = gcd(t, scale)
+    return str(t // g) if g == scale else f"{t // g}/{scale // g}"
+
+
 def signal_to_doc(x: Signal) -> dict:
     s, v = x.scale, x.initial
     out = []
     for t in x.ticks:
         v ^= 1
-        g = gcd(t, s)
-        out.append([str(t // g) if g == s else f"{t // g}/{s // g}", v])
+        out.append([format_tick(t, s), v])
     return {"initial": x.initial, "transitions": out}
 
 

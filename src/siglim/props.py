@@ -87,11 +87,10 @@ from .signals import (
     window_any,
 )
 
-CHECK_BUDGET = SearchBudget(max_nodes=160, refine=True, samples=3)
-# single-pass variant for agreement oracles: witnesses come from the stage
-# sample pools and the constructed candidates, so spend on samples rather
-# than on a refined grid round
-ORACLE_BUDGET = SearchBudget(max_nodes=160, refine=False, samples=10)
+CHECK_BUDGET = SearchBudget(max_nodes=160, samples=3)
+# for agreement oracles: witnesses come from the stage sample pools and the
+# constructed candidates, so it draws more samples
+ORACLE_BUDGET = SearchBudget(max_nodes=160, samples=10)
 
 
 # generator bounds: transitions of a drawn signal, denominator of a drawn

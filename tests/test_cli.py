@@ -37,6 +37,7 @@ from siglim import (
 )
 from siglim.cli import main
 from siglim.props import register_check, unregister_check
+from test_conditions import _dry_sampler
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -177,6 +178,19 @@ class TestCheck:
         monkeypatch.setattr(siglim.conditions, "DEFAULT_BUDGET", SearchBudget(max_nodes=1))
         assert main(argv) == 3
         assert capsys.readouterr().out.strip() == "undecided"
+
+    def test_dry_stage_sampler_is_not_an_input_error(self, ws, capsys):
+        # the inner stage's sampler finds no witness for this input; the
+        # search goes on without its samples and refutes x
+        inner, (u,) = _dry_sampler()
+        chain = serial(blc(identity_fn(), identity_fn(), BlcParams(0, 1, 0, 1)), [inner])
+        argv = ["check", "--model", ws.model("chain.json", chain),
+                "--input", ws.signal("u.json", u),
+                "--candidate", ws.signal("x.json", constant(0))]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("violation at t=")
+        assert captured.err == ""
 
     def test_nothing_to_check_is_an_error(self, ws, capsys):
         cand = ws.signal("x.json", pulse(0, 1))
@@ -435,6 +449,24 @@ class TestRender:
         assert time.perf_counter() - start < 10
         lines = open(vcd).read().splitlines()
         assert sum(line[0] in "01" for line in lines[lines.index("$end") + 1:]) == 2 * n
+
+    def test_short_range_of_long_signals_builds_no_fraction_outside_it(self, ws, monkeypatch):
+        # each signal's ticks are bisected at --from and --to: no time
+        # outside [0, 10] is built, and only the column times inside it
+        n = 20000
+        a = ws.signal("a.json", make_signal(0, [(F(k, 3), (k + 1) % 2) for k in range(-n, n)]))
+        b = ws.signal("b.json", make_signal(1, [(F(2 * k + 1, 7), k % 2) for k in range(n)]))
+        vcd = ws.path("dump.vcd")
+        new, built = Fraction.__new__, [0]
+
+        def counting(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counting)
+            assert main(["render", a, b, "--from", "0", "--to", "10", "--vcd", vcd]) == 0
+        assert built[0] < 10
 
     def test_empty_range_rejected(self, ws, capsys):
         inp = ws.signal("a.json", pulse(0, 1))

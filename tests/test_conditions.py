@@ -10,9 +10,9 @@ from siglim import (
     AicParams,
     ArityMismatch,
     BlcParams,
+    EmptyBailc,
     EmptyMeet,
     PreconditionViolated,
-    SearchBudget,
     aic_params,
     aic_set,
     and_fn,
@@ -52,7 +52,7 @@ from siglim import (
     translate,
 )
 from siglim import bounded, conditions, inertial, props
-from siglim.conditions import Serial, _composed_bounds
+from siglim.conditions import DEFAULT_BUDGET, Serial, _composed_bounds
 from siglim.errors import BlockArityMismatch
 from siglim.inertial import Flc
 from strategies import boolfn_pairs_leq, multisignals, signals
@@ -213,6 +213,23 @@ def _composition_gap():
     return outer, inner, u, x
 
 
+def _dry_sampler():
+    """(i, u): a dwell stage whose seeded sampler finds no witness for u,
+    though i admits outputs for u."""
+    i = bailc(not_fn(), not_fn(), params(1, F(7, 5), 1, F(12, 5)), aic_params(F(1, 8), F(3, 8)))
+    edges = [F(-13, 2), F(-19, 3), F(-33, 8), -4, -3, F(-8, 3), 0, F(7, 3), F(7, 2), F(19, 5),
+             F(21, 5), F(37, 8), F(20, 3), F(19, 2), F(99, 5), F(167, 8), F(149, 7),
+             F(131, 6), 22, F(45, 2), F(166, 7)]
+    u = (make_signal(1, [(t, k % 2) for k, t in enumerate(edges)]),)
+    y = make_signal(0, [(F(7, 5), 1), (3, 0), (F(121, 15), 1), (10, 0), (F(106, 5), 1),
+                        (22, 0), (F(879, 35), 1)])
+    assert i.contains(u, y) == 1
+    for s in range(3):
+        with pytest.raises(EmptyBailc):
+            i.sample(u, DEFAULT_BUDGET.samples, s)
+    return i, u
+
+
 class TestSerialDispatch:
     def test_fixed_delays_collapse(self):
         chain = serial(flc(not_fn(), 1), [flc(not_fn(), 2)])
@@ -240,10 +257,9 @@ class TestSerialDispatch:
         assert chain.kind == "serial"
         assert chain.membership(u, x)[0] == 0
 
-    def test_refined_round_reuses_the_stage_samples(self, monkeypatch):
-        # only the grid changes between rounds: the inner stage's five
-        # seeded dwell draws run once, not once per round, and all five
-        # share the one dwell grid its sample call builds
+    def test_search_samples_each_stage_once(self, monkeypatch):
+        # the inner stage's five seeded dwell draws run once per search, and
+        # all five share the one dwell grid its sample call builds
         outer, inner, u, x = _composition_gap()
         calls = []
 
@@ -259,12 +275,9 @@ class TestSerialDispatch:
         counting(inertial, "_dwell_dfs")
         counting(inertial, "_dwell_grid")
         counting(inertial.Bailc, "_sample")
-        counts = []
-        for refine in (False, True):
-            calls.clear()
-            serial_membership(outer, [inner], u, x, SearchBudget(refine=refine))
-            counts.append({name: calls.count(name) for name in set(calls)})
-        assert counts == [{"_dwell_dfs": 5, "_dwell_grid": 1, "_sample": 1}] * 2
+        serial_membership(outer, [inner], u, x)
+        counts = {name: calls.count(name) for name in set(calls)}
+        assert counts == {"_dwell_dfs": 5, "_dwell_grid": 1, "_sample": 1}
 
     def test_law_3_12_builds_one_search_per_chain(self, monkeypatch):
         # every output of a case shares the input, so each chain's
@@ -292,7 +305,7 @@ class TestSerialDispatch:
             assert len(asked) > 2 * len(built)
 
     def test_inner_envelopes_do_not_grow_with_the_rounds(self, monkeypatch):
-        # the grid rounds filter thousands of candidates through one
+        # the grid round filters thousands of candidates through one
         # membership predicate per stage, not one envelope computation each
         outer, inner, u, x = _composition_gap()
         calls = []
@@ -303,17 +316,13 @@ class TestSerialDispatch:
             return real(f, g, p, v)
 
         monkeypatch.setattr(bounded, "envelopes", counting)
-        counts = []
-        for refine in (False, True):
-            calls.clear()
-            serial_membership(outer, [inner], u, x, SearchBudget(refine=refine))
-            counts.append(sum(calls))
+        serial_membership(outer, [inner], u, x)
         # one pair each for the predicate and the samples, and one that the
         # constructed candidates and the grid's envelope check share
-        assert counts == [3, 3]
+        assert sum(calls) == 3
 
     def test_no_combination_is_asked_twice(self, monkeypatch):
-        # the first pass and both grid rounds share one record of the
+        # the first pass and the grid round share one record of the
         # intermediate signals already put to the outer stage
         outer, inner, u, x = _composition_gap()
         asked = []
@@ -325,7 +334,7 @@ class TestSerialDispatch:
             return real(self, v, y)
 
         monkeypatch.setattr(type(outer), "contains", recording)
-        assert serial_membership(outer, [inner], u, x, SearchBudget(refine=True)) == (0, False)
+        assert serial_membership(outer, [inner], u, x) == (0, False)
         assert len(asked) > 100
         assert len(set(asked)) == len(asked)
 
@@ -342,6 +351,15 @@ class TestSerialDispatch:
         monkeypatch.setattr(conditions, "_grid_candidates", no_grid)
         outer = flc(identity_fn(), 1)
         assert serial_membership(outer, [inner], u, translate(lo, 1)) == (1, False)
+
+    def test_dry_stage_sampler_leaves_the_other_candidates(self):
+        # the stage's samples are empty, not an error: u settles to 0, so
+        # every intermediate signal and every output settle to 1
+        i, u = _dry_sampler()
+        chain = serial(blc(identity_fn(), identity_fn(), params(0, 1, 0, 1)), [i])
+        assert chain.kind == "serial"
+        assert chain.contains(u, constant(0)) == 0
+        assert chain.membership(u, constant(0)) == (0, False)
 
     def test_zero_inner_dwell_chain_sums_parameters(self):
         outer = bailc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2), AicParams(1, 1))
@@ -365,8 +383,8 @@ class TestSerialDispatch:
         assert chain.sample(u, 3, 0) == [expected]
 
     def test_deterministic_chain_rejects_in_one_round(self, monkeypatch):
-        # every stage list is final, so the refined round would re-test the
-        # same combinations: one outer contains per combination
+        # every stage list is final, so the grid round would re-test the
+        # first pass's combinations: one outer contains per combination
         outer = flc(and_fn(2), 1)
         inners = [flc(identity_fn(), 2), flc(identity_fn(), 3)]
         u = (pulse(0, 4), pulse(1, 5))
@@ -378,8 +396,7 @@ class TestSerialDispatch:
             return real(self, *args)
 
         monkeypatch.setattr(type(outer), "contains", counting)
-        budget = SearchBudget(refine=True)
-        assert serial_membership(outer, inners, u, constant(1), budget) == (0, False)
+        assert serial_membership(outer, inners, u, constant(1)) == (0, False)
         assert sum(calls) == 1
 
     def test_deterministic_chain_samples_in_one_round(self, monkeypatch):
@@ -472,6 +489,12 @@ class TestBehaviouralChecks:
     def test_eventual_value_models_are_not(self):
         i = scf(identity_fn())
         assert check_deterministic(i, [(pulse(0, 2),)]) == 0
+
+    def test_dry_sampler_leaves_the_other_inputs(self):
+        # no draw for u exposes a choice, and the next input still does
+        i, u = _dry_sampler()
+        assert check_deterministic(i, [u]) == 1
+        assert check_deterministic(i, [u, (pulse(0, 3),)]) == 0
 
     @given(signals(6), st.integers(-3, 3))
     @settings(max_examples=30)

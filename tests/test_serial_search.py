@@ -1,44 +1,49 @@
-"""The serial witness search's grids and candidate streams.
+"""The serial witness search's grids and candidate streams, and its answers.
 
 The grids are built as integer ticks; the Fraction versions below are the
 definitions they must reproduce, point for point.  The grid candidate stream
 leaves out what lies outside a stage's envelopes; the full stream must be
 the Fraction definition's, and filtering either through the stage must give
-the same members.
+the same members.  A fixed corpus of chains pins what the search answers
+under the default budget, the one `siglim check` runs on serial documents.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from siglim import AicParams, SearchBudget, Signal, bailc, blc, breakpoints, signal_leq
+from siglim import (
+    AicParams, SearchBudget, Signal, SiglimError, bailc, blc, breakpoints, flc, lc_join, lc_meet,
+    serial, serial_membership, signal_leq, sol,
+)
 from siglim.boolfn import and_fn, identity_fn, or_fn
 from siglim.conditions import _distinct_members, _grid_candidates, _grid_times
 from siglim.inertial import _dwell_grid
-from siglim.props import _feasible_aic, _gen_overlap_params
+from siglim.props import (
+    _feasible_aic, _gen_overlap_params, _rat, gen_boolfn, gen_boolfn_pair_leq, gen_multisignal,
+    gen_signal,
+)
 
 
-def grid_times_oracle(base, deltas, refined):
-    """The candidate grid on Fractions: time 0, the breakpoints, their
-    shifts by every delta both ways, midpoints when refined; first 64."""
+def grid_times_oracle(base, deltas):
+    """The candidate grid on Fractions: time 0, the breakpoints and their
+    shifts by every delta both ways; first 64."""
     times = set(base) | {F(0)}
     for d in deltas | {-d for d in deltas}:
         times |= {t + d for t in base}
-    grid = sorted(times)
-    if refined and len(grid) >= 2:
-        mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
-        grid = sorted(set(grid) | set(mids))
-    return grid[:64]
+    return sorted(times)[:64]
 
 
-def grid_candidates_oracle(blk, x, deltas, max_nodes, refined):
+def grid_candidates_oracle(blk, x, deltas, max_nodes):
     """Steps at each grid time, then pulses on each pair of grid times,
     until more than 4 * max_nodes candidates were made."""
-    grid = grid_times_oracle(breakpoints(*blk, x), deltas, refined)
+    grid = grid_times_oracle(breakpoints(*blk, x), deltas)
     out = [s for t in grid for s in (Signal(0, [(t, 1)]), Signal(1, [(t, 0)]))]
     for t1, t2 in combinations(grid, 2):
         out += [Signal(0, [(t1, 1), (t2, 0)]), Signal(1, [(t1, 0), (t2, 1)])]
@@ -77,22 +82,8 @@ def test_grid_times_on_ticks_match_the_fraction_grid(seed):
     # the signals share powers of two; the deltas bring in other primes
     signals = [_signal(rng, rng.randint(0, 14), (1, 2, 4)) for _ in range(rng.randint(1, 3))]
     deltas = {_time(rng, (1, 3, 5, 7)) for _ in range(rng.randint(0, 5))}
-    base = breakpoints(*signals)
-    for refined in (False, True):
-        scale, ticks = _grid_times(signals, deltas, refined)
-        assert [F(t, scale) for t in ticks] == grid_times_oracle(base, deltas, refined)
-
-
-def test_refined_grid_midpoints_fall_between_coarse_ticks():
-    # neighbours one tick apart on the coarse lattice: their midpoints are
-    # odd on the doubled one
-    signals = [Signal(0, [(F(1), 1), (F(2), 0), (F(7, 3), 1)])]
-    deltas = {F(1, 5)}
-    scale, ticks = _grid_times(signals, deltas, True)
-    coarse, _ = _grid_times(signals, deltas, False)
-    assert scale == 2 * coarse
-    assert any(t % 2 for t in ticks)
-    assert [F(t, scale) for t in ticks] == grid_times_oracle(breakpoints(*signals), deltas, True)
+    scale, ticks = _grid_times(signals, deltas)
+    assert [F(t, scale) for t in ticks] == grid_times_oracle(breakpoints(*signals), deltas)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -131,16 +122,15 @@ def test_envelope_prefilter_keeps_every_member(seed):
     lo, hi = env = model.envelopes(blk)
     admits = model.admits(blk)
     found = _distinct_members(model.sample(blk, 3, seed), admits)
-    for refined in (False, True):
-        for max_nodes, cap in PREFILTER_BUDGETS:
-            budget = SearchBudget(max_nodes=max_nodes)
-            full = list(_grid_candidates(blk, x, None, deltas, budget, refined))
-            assert full == grid_candidates_oracle(blk, x, deltas, max_nodes, refined)
-            kept = list(_grid_candidates(blk, x, env, deltas, budget, refined))
-            assert kept == [c for c in full if signal_leq(lo, c) and signal_leq(c, hi)]
-            for start in ((), found):
-                assert (_distinct_members(kept, admits, cap, start)
-                        == _distinct_members(full, admits, cap, start))
+    for max_nodes, cap in PREFILTER_BUDGETS:
+        budget = SearchBudget(max_nodes=max_nodes)
+        full = list(_grid_candidates(blk, x, None, deltas, budget))
+        assert full == grid_candidates_oracle(blk, x, deltas, max_nodes)
+        kept = list(_grid_candidates(blk, x, env, deltas, budget))
+        assert kept == [c for c in full if signal_leq(lo, c) and signal_leq(c, hi)]
+        for start in ((), found):
+            assert (_distinct_members(kept, admits, cap, start)
+                    == _distinct_members(full, admits, cap, start))
 
 
 def test_prefilter_cases_reach_the_cut_and_the_cap():
@@ -148,10 +138,88 @@ def test_prefilter_cases_reach_the_cut_and_the_cap():
     for seed in range(30):
         model, blk, x, deltas = _prefilter_case(seed)
         admits = model.admits(blk)
-        _, grid = _grid_times((*blk, x), deltas, False)
+        _, grid = _grid_times((*blk, x), deltas)
         n = len(grid)
         for max_nodes, cap in PREFILTER_BUDGETS:
-            full = list(_grid_candidates(blk, x, None, deltas, SearchBudget(max_nodes), False))
+            full = list(_grid_candidates(blk, x, None, deltas, SearchBudget(max_nodes)))
             cut += len(full) < n * (n + 1)
             capped += len(_distinct_members(full, admits, cap)) == cap
     assert cut > 10 and capped > 10, (cut, capped)
+
+
+def _leaf(kind, f, g, rng):
+    """A stage of kind blc, bailc or sol with the bound pair (f, g)."""
+    if kind == "sol":
+        return sol(f, g)
+    p = _gen_overlap_params(rng)
+    return blc(f, g, p) if kind == "blc" else bailc(f, g, p, _feasible_aic(p, rng))
+
+
+# a plain stage is drawn three times as often as a meet, a join or a chain
+STAGE_KINDS = ("blc", "bailc", "flc", "sol") * 3 + ("meet", "join", "serial")
+
+
+def _inner_stage(rng, kinds=STAGE_KINDS):
+    """A one-input stage: blc, bailc, flc or sol, a meet or join of two of
+    them, or a chain of one of them over a fixed delay.
+
+    The chain's inner stage is deterministic, so its membership asks its
+    outer stage once; a nondeterministic one would run a whole search for
+    each grid candidate that the enclosing search filters through it."""
+    kind = rng.choice(kinds)
+    if kind == "flc":
+        return flc(gen_boolfn(1, rng), _rat(rng, 0, 2))
+    f, g = gen_boolfn_pair_leq(1, rng)
+    if kind in ("blc", "bailc", "sol"):
+        return _leaf(kind, f, g, rng)
+    if kind == "serial":
+        outer = _inner_stage(rng, ("blc", "bailc", "flc", "sol"))
+        return serial(outer, [_inner_stage(rng, ("flc",))])
+    i, j = (_leaf(rng.choice(("blc", "bailc", "sol")), f, g, rng) for _ in range(2))
+    return (lc_meet if kind == "meet" else lc_join)(i, j)
+
+
+def chain_corpus(seed, n, transitions=6):
+    """n queries (outer, inners, u, x): an outer blc, bailc or sol of arity
+    1-2 over one drawn stage per input, an input with up to `transitions`
+    transitions per signal, and an output drawn, on every other query, from
+    the chain's own sampler, else by `gen_signal`."""
+    rng = random.Random(f"corpus:{seed}")
+    out = []
+    while len(out) < n:
+        m = rng.randint(1, 2)
+        f, g = gen_boolfn_pair_leq(m, rng)
+        try:
+            outer = _leaf(rng.choice(("blc", "bailc", "sol")), f, g, rng)
+            inners = [_inner_stage(rng) for _ in range(m)]
+            chain = serial(outer, inners)
+        except SiglimError:
+            continue  # composed bounds out of order: no such chain
+        u = gen_multisignal(m, rng, transitions)
+        xs = []
+        if len(out) % 2 == 0:
+            try:
+                xs = chain.sample(u, 1, rng.randint(0, 1 << 20))
+            except SiglimError:
+                pass
+        out.append((outer, inners, u, xs[0] if xs else gen_signal(rng)))
+    return out
+
+
+def answer_digest(answers):
+    """The counts of each (bit, exhausted) answer and a sha256 of their order."""
+    counts = Counter(answers)
+    text = "".join(f"{bit}{int(exhausted)}" for bit, exhausted in answers)
+    return {a: counts[a] for a in sorted(counts)}, hashlib.sha256(text.encode()).hexdigest()
+
+
+# the default-budget answers to chain_corpus(0, 300); a change to the search
+# that moves one of them must say which and why
+CORPUS_COUNTS = {(0, False): 61, (0, True): 31, (1, False): 208}
+CORPUS_DIGEST = "b7e6aae099ba12831a7e1ce8c2a224ccbf4885d965e50d6b0daa729ab609a56d"
+
+
+def test_default_budget_search_answers_are_pinned():
+    corpus = chain_corpus(0, 300)
+    answers = [serial_membership(outer, inners, u, x) for outer, inners, u, x in corpus]
+    assert answer_digest(answers) == (CORPUS_COUNTS, CORPUS_DIGEST)
