@@ -23,6 +23,7 @@ from .signals import (
     MultiSignal,
     Signal,
     Time,
+    _box_images,
     _lattice,
     _shrink,
     _ticks,
@@ -112,6 +113,11 @@ class Blc(LimitCondition):
 
     def envelopes(self, u: MultiSignal) -> tuple[Signal, Signal]:
         return envelopes(self.f, self.g, self.params, u)
+
+    def bounds(self, lo: MultiSignal, hi: MultiSignal) -> tuple[Signal, Signal]:
+        least, most = _box_images(self.f.table, self.g.table, lo, hi)
+        p = self.params
+        return _shrink(least, p.d_r, p.m_r, 1), _shrink(most, p.d_f, p.m_f, 0)
 
     def deltas(self) -> set[Time]:
         p = self.params

@@ -18,7 +18,7 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 
-from .conditions import LimitCondition, closed_form
+from .conditions import LimitCondition, Serial, closed_form
 from .errors import PreconditionViolated, SiglimError
 from .files import (
     format_tick,
@@ -79,13 +79,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 # --- check ---------------------------------------------------------------------
 
-def _envelope_violation_time(model: LimitCondition, u, x: Signal) -> Time | None:
-    env = model.envelopes(u)
-    if env is None:
-        return None
-    lo, hi = env
-    viol = (lo & ~x) | (x & ~hi)
-    return first_one_time(viol)
+def _violation_time(model: LimitCondition, u, x: Signal) -> Time | None:
+    """The first time x leaves the model's envelopes, or its `bounds` for u
+    when it has none; else the first dwell violation of a bailc model or of
+    a chain's bailc outer stage.  None when neither names a time."""
+    box = model.envelopes(u) or model.bounds(u, u)
+    if box is not None:
+        lo, hi = box
+        t = first_one_time((lo & ~x) | (x & ~hi))
+        if t is not None:
+            return t
+    outer = model.outer if isinstance(model, Serial) else model
+    return aic_violation(x, outer.aic) if isinstance(outer, Bailc) else None
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -102,9 +107,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             print("undecided")
             return 3
         if bit != 1:
-            t = _envelope_violation_time(model, u, x)
-            if t is None and isinstance(model, Bailc):
-                t = aic_violation(x, model.aic)
+            t = _violation_time(model, u, x)
             if t is None:
                 pts = breakpoints(*(list(u) + [x]))
                 t = (pts[-1] + 1) if pts else Fraction(0)

@@ -19,6 +19,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, product
 from math import lcm, prod
 from typing import (
@@ -44,6 +45,7 @@ from .signals import (
     MultiSignal,
     Signal,
     Time,
+    _box_images,
     _lattice,
     _shrink,
     _ticks,
@@ -52,6 +54,7 @@ from .signals import (
     combine,
     constant,
     make_signal,
+    signal_between,
     translate,
     translate_all,
     values_along,
@@ -174,6 +177,36 @@ class LimitCondition(ABC):
 
     def envelopes(self, u: MultiSignal) -> tuple[Signal, Signal] | None:
         """Least and greatest admissible output for u, when the kind has them."""
+        return None
+
+    def bounds(self, lo: MultiSignal, hi: MultiSignal) -> tuple[Signal, Signal] | None:
+        """Signals (L, U) with L <= x <= U for every output x admitted for
+        any input u with lo <= u <= hi pointwise; None when the kind gives
+        none, which reads as the box (0, 1).
+
+        Unlike `envelopes`, L and U need not be members: they are sound
+        bounds (a ternary simulation of the model, where an input bit is
+        unknown wherever lo and hi differ), and the serial search proves a
+        0 with them.  Soundness, kind by kind:
+
+        - blc and bailc: a member x lies between the rise window of f(u)
+          and the fall window of g(u).  At every time f(u) is at least L0,
+          the least value of f over the box there, and g(u) at most U0, the
+          greatest of g; the windows are monotone, so x lies between the
+          rise window of L0 and the fall window of U0.
+        - flc: x is f(u) retarded by the delay, which lies between L0 and
+          U0 of f, retarded alike.
+        - meet: a member of every part lies in every part's box, so in
+          their intersection; join: a member of some part lies in its box,
+          so in their hull.
+        - serial: a member has an intermediate signal admitted by each
+          inner stage for its block of u, so inside that stage's box for
+          the block's box; the outer stage admits x for that signal, so x
+          lies in the outer's bounds over the inner boxes.
+
+        Where a box is empty (lo above hi somewhere) no input lies in it,
+        and any (L, U) is sound.
+        """
         return None
 
     def deltas(self) -> set[Time]:
@@ -322,6 +355,15 @@ class Meet(LimitCondition):
                             if v is not None else "no common witness found within budget")
         return out[:count]
 
+    def bounds(self, lo: MultiSignal, hi: MultiSignal) -> tuple[Signal, Signal] | None:
+        boxes = [box for part in self.parts if (box := part.bounds(lo, hi))]
+        if not boxes:
+            return None
+        (L, U), *rest = boxes
+        for L2, U2 in rest:
+            L, U = L | L2, U & U2
+        return L, U
+
     def deltas(self) -> set[Time]:
         return set().union(*(part.deltas() for part in self.parts))
 
@@ -354,6 +396,15 @@ class Join(LimitCondition):
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         pool = [x for part in self.parts for x in part.sample(u, count, seed)]
         return list(dict.fromkeys(pool))[:count]
+
+    def bounds(self, lo: MultiSignal, hi: MultiSignal) -> tuple[Signal, Signal] | None:
+        boxes = [part.bounds(lo, hi) for part in self.parts]
+        if None in boxes:
+            return None
+        (L, U), *rest = boxes
+        for L2, U2 in rest:
+            L, U = L & L2, U | U2
+        return L, U
 
     def deltas(self) -> set[Time]:
         return set().union(*(part.deltas() for part in self.parts))
@@ -590,6 +641,41 @@ def _grid_candidates(
             return
 
 
+_UNKNOWN = (constant(0), constant(1))  # the box of a stage that gives no bounds
+
+
+def _refutation(
+    i: LimitCondition, boxes: Sequence[tuple[Signal, Signal]],
+) -> Callable[[Signal], bool] | None:
+    """A test that x is no output of the outer stage i for any intermediate
+    signal inside the inner stages' output boxes; None when it would never
+    hold.
+
+    A member x of the chain has such a signal, so x lies within i's
+    `bounds` over the boxes.  A bailc outer's members also respect its
+    dwell, whatever the input, and a sol outer's settle between the least
+    of f and the greatest of g over the boxes' settled values.  An x failing
+    one of these is no member, so the 0 it gives is a proof.
+    """
+    lo, hi = zip(*boxes)
+    tests = []
+    if (pair := i.bounds(lo, hi)) is not None:
+        L, U = pair
+        tests.append(lambda x: not signal_between(L, x, U))
+    if i.kind == "bailc":
+        from .inertial import aic_violation
+
+        a = i.aic
+        tests.append(lambda x: aic_violation(x, a) is not None)
+    if isinstance(i, Sol):
+        least, most = _box_images(i.f.table, i.g.table, lo, hi)
+        lam, mu = least.eventual_value(), most.eventual_value()
+        tests.append(lambda x: not lam <= x.eventual_value() <= mu)
+    if not tests:
+        return None
+    return lambda x: any(test(x) for test in tests)
+
+
 class _Stage(NamedTuple):
     """What the serial search knows of one stage for its input block."""
 
@@ -604,30 +690,53 @@ class _Stage(NamedTuple):
 class _SerialSearch:
     """The witness search of `serial_search` for one input tuple.
 
-    Construction does the per-input work once: each stage's membership
-    predicate, envelopes and admitted samples, or its finite output list.
-    Calling the search with an output x does the per-output work: the
-    constructed candidates, the first pass, then the grid round.
+    Construction does the cheap per-input work: each stage's finite output
+    list, if it has one, and, unless every stage has one, the `_refutation`
+    over the stages' output boxes (a stage's envelopes, else its `bounds`
+    for its block, else the box (0, 1)).  The stages' membership predicates
+    and samples are built once, on the first output the refutation leaves
+    standing.  Calling the search with an output x first asks the
+    refutation, which answers a refuted x with (0, False), a proof; it then
+    does the per-output work: the constructed candidates, the first pass,
+    then the grid round.
     """
 
     def __init__(self, i: LimitCondition, js: Sequence[LimitCondition], u: MultiSignal,
                  budget: SearchBudget, seed: int) -> None:
-        self.outer, self.budget = i, budget
+        self.outer, self.budget, self.seed = i, budget, seed
+        self.parts = list(zip(js, DirectProduct(tuple(js)).split(u)))
         self.deltas = i.deltas().union(*(j.deltas() for j in js))
         self.cap = max(4, int(round(budget.max_nodes ** (1.0 / len(js)))))
-        self.stages: list[_Stage] = []
-        for j, blk in zip(js, DirectProduct(tuple(js)).split(u)):
+        # a stage with finitely many outputs offers them all to the first
+        # pass, so when every stage does, bounds would only add work
+        self.finite = [j.finite_outputs(blk, seed) for j, blk in self.parts]
+        self.envs: list[tuple[Signal, Signal] | None] = []
+        self.refutes = None
+        if None in self.finite:
+            self.envs = [j.envelopes(blk) for j, blk in self.parts]
+            self.refutes = _refutation(i, [
+                env or j.bounds(blk, blk) or _UNKNOWN for (j, blk), env in zip(self.parts, self.envs)
+            ])
+
+    @cached_property
+    def stages(self) -> list[_Stage]:
+        """Each stage's membership predicate, envelopes and admitted
+        samples, or its finite output list."""
+        out = []
+        for k, (j, blk) in enumerate(self.parts):
             admits = j.admits(blk)
-            finite = j.finite_outputs(blk, seed)
+            finite = self.finite[k]
             if finite is not None:
-                self.stages.append(_Stage(j, blk, admits, None, list(dict.fromkeys(finite)), True))
+                out.append(_Stage(j, blk, admits, None, list(dict.fromkeys(finite)), True))
                 continue
             try:
-                raw = j.sample(blk, budget.samples, seed)
+                raw = j.sample(blk, self.budget.samples, self.seed)
             except (EmptyMeet, EmptyBailc):
                 raw = []
             members = _distinct_members(raw, admits, self.cap)
-            self.stages.append(_Stage(j, blk, admits, j.envelopes(blk), members, False))
+            # this stage has no finite list, so construction took the envelopes
+            out.append(_Stage(j, blk, admits, self.envs[k], members, False))
+        return out
 
     def _fixed(self, x: Signal) -> list[_Stage]:
         """The stages with the candidates constructed from x that each
@@ -656,6 +765,8 @@ class _SerialSearch:
             yield tuple(st.members[k] for st, k in zip(fixed, idx))
 
     def __call__(self, x: Signal) -> tuple[Bit, bool]:
+        if self.refutes is not None and self.refutes(x):
+            return 0, False
         i, budget, cap = self.outer, self.budget, self.cap
         fixed = self._fixed(x)
         asked: set[tuple[Signal, ...]] = set()
@@ -715,7 +826,12 @@ def serial_membership(
     semi-decision rather than a proof of absence.  This is
     `serial_search(i, js, u, budget, seed)(x)`.
 
-    Each stage's fixed members come first: its samples, or its finite output
+    Unless every stage has a finite output list, the chain's ternary bounds
+    come first: x outside the outer stage's `bounds` over the inner stages'
+    output boxes, or breaking a bailc outer's dwell, or settling outside a
+    sol outer's range, is no member, and the answer (0, False) is a proof
+    reached with no stage sampled.  Otherwise each stage's fixed members
+    come first: its samples, or its finite output
     list, and the candidates constructed from x that it admits.  A first
     pass asks the outer stage about their combinations, but only those the
     grid round would reach within budget.max_nodes, so a 1 from it is a 1
@@ -734,7 +850,10 @@ class Serial(LimitCondition):
 
     Membership is the witness search `serial_search` under the default
     budget, which `admits` builds once per input; it is exact when every
-    stage is deterministic, since each stage then offers its one output.
+    stage is deterministic, since each stage then offers its one output,
+    and its 0 is a proof wherever the chain's ternary bounds refute the
+    output.  `bounds` recurses through the stages, so a chain nested as a
+    stage of another gives the enclosing search a box.
     """
 
     outer: LimitCondition
@@ -761,6 +880,12 @@ class Serial(LimitCondition):
                        for j, blk in zip(self.inners, blocks))
             out += self.outer.sample(ys, 1 + s % 2, seed + s)
         return list(dict.fromkeys(out))[:count]
+
+    def bounds(self, lo: MultiSignal, hi: MultiSignal) -> tuple[Signal, Signal] | None:
+        split = DirectProduct(self.inners).split
+        los, his = zip(*[j.bounds(lo_j, hi_j) or _UNKNOWN
+                         for j, lo_j, hi_j in zip(self.inners, split(lo), split(hi))])
+        return self.outer.bounds(los, his)
 
     def deltas(self) -> set[Time]:
         return self.outer.deltas().union(*(j.deltas() for j in self.inners))

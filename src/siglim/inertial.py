@@ -25,6 +25,7 @@ from .signals import (
     MultiSignal,
     Signal,
     Time,
+    _box_images,
     _ticks,
     as_time,
     make_signal,
@@ -67,6 +68,10 @@ class Flc(LimitCondition):
     def envelopes(self, u: MultiSignal) -> tuple[Signal, Signal]:
         y = self._output(u)
         return y, y
+
+    def bounds(self, lo: MultiSignal, hi: MultiSignal) -> tuple[Signal, Signal]:
+        least, most = _box_images(self.f.table, self.f.table, lo, hi)
+        return translate(least, self.delay), translate(most, self.delay)
 
     def deltas(self) -> set[Time]:
         return {self.delay}

@@ -20,8 +20,9 @@ plain ints and keeps the signals' values packed in one int code, which
 indexes a truth table once per distinct time.  `combine` reads a
 `BoolFn`'s table, a tuple of bits or a memo of its op; `_images` takes the
 images of several tables in one walk, as the bounded envelopes do for their
-two bound functions; and `signal_leq` and `signal_between` stop at the
-first violation.
+two bound functions; `_box_images` takes the least and greatest of two
+tables over a box of inputs, as the models' `bounds` do; and `signal_leq`
+and `signal_between` stop at the first violation.
 """
 
 from __future__ import annotations
@@ -375,9 +376,15 @@ def _images(tables: tuple[tuple[Bit, ...], ...], signals: Sequence[Signal]) -> t
     The tables are truth tables of 2**n bits.  The walk reports their
     packed values, and each image keeps the ticks where its bit changed.
     """
-    k = len(tables)
     scale = _lattice(signals)
-    first, ticks, values = _sweep(signals, scale, _packed(tables))
+    return _unpack(len(tables), scale, *_sweep(signals, scale, _packed(tables)))
+
+
+def _unpack(
+    k: int, scale: int, first: int, ticks: list[int], values: list[int],
+) -> tuple[Signal, ...]:
+    """The k signals whose bits a `_sweep` over a packed table reported, the
+    first most significant."""
     changed = [a ^ b for a, b in zip([first] + values, values)]
     out = []
     for i in range(k):
@@ -385,6 +392,47 @@ def _images(tables: tuple[tuple[Bit, ...], ...], signals: Sequence[Signal]) -> t
         mine = tuple([t for t, c in zip(ticks, changed) if c & bit])
         out.append(Signal._on((first & bit) >> (k - 1 - i), scale, mine))
     return tuple(out)
+
+
+class _BoxMemo(dict):
+    """Packed (least of f, greatest of g) over the box of each code, found on
+    demand.
+
+    A code packs two corners of m bits each, the lower above the upper, and
+    the box is every argument a with lower <= a <= upper bitwise.  The walk
+    visits the arguments of each box it meets, never a table of all 2**(2m)
+    codes; an empty box (lower above upper somewhere) has least 1 and
+    greatest 0.
+    """
+
+    def __init__(self, f: Sequence[Bit], g: Sequence[Bit], m: int) -> None:
+        self.f, self.g, self.m = f, g, m
+
+    def __missing__(self, code: int) -> int:
+        lo, hi = code >> self.m, code & ((1 << self.m) - 1)
+        least, most = 1, 0
+        if lo & ~hi == 0:
+            free = s = hi ^ lo
+            while least or not most:
+                a = lo | s
+                least &= self.f[a]
+                most |= self.g[a]
+                if not s:
+                    break
+                s = (s - 1) & free
+        v = self[code] = least << 1 | most
+        return v
+
+
+def _box_images(
+    f: Sequence[Bit], g: Sequence[Bit], lo: Sequence[Signal], hi: Sequence[Signal],
+) -> tuple[Signal, Signal]:
+    """(L, U): at each time, the least value of the table f and the greatest
+    of the table g over the arguments lying between lo's and hi's values
+    there, in one walk over the 2m signals."""
+    signals = (*lo, *hi)
+    scale = _lattice(signals)
+    return _unpack(2, scale, *_sweep(signals, scale, _BoxMemo(f, g, len(lo))))
 
 
 def values_along(u: Sequence[Signal], times: Iterable[Time]) -> list[tuple[Bit, ...]]:

@@ -22,6 +22,7 @@ from siglim import (
     constant,
     flc,
     identity_fn,
+    lc_meet,
     make_signal,
     mc,
     not_fn,
@@ -163,21 +164,42 @@ class TestCheck:
         assert rc == 1
         assert capsys.readouterr().out.strip() == "violation at t=5/2"
 
-    def test_budget_cut_search_is_undecided(self, ws, capsys, monkeypatch):
+    def _chain_argv(self, ws, outer, x):
         # inner stages with different windows have no closed form, so the
-        # model read back searches for witnesses; one node cannot refute x
-        chain = serial(blc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2)),
-                       [blc(identity_fn(), identity_fn(), BlcParams(1, 2, 1, 2)),
-                        blc(identity_fn(), identity_fn(), BlcParams(1, 3, 1, 3))])
-        model = ws.model("chain.json", chain)
-        argv = ["check", "--model", model, "--candidate", ws.signal("x.json", constant(1)),
+        # model read back searches for witnesses
+        chain = serial(outer, [blc(identity_fn(), identity_fn(), BlcParams(1, 2, 1, 2)),
+                               blc(identity_fn(), identity_fn(), BlcParams(1, 3, 1, 3))])
+        assert chain.kind == "serial"
+        return ["check", "--model", ws.model("chain.json", chain),
+                "--candidate", ws.signal("x.json", x),
                 "--input", ws.signal("u0.json", pulse(0, 3)),
                 "--input", ws.signal("u1.json", pulse(1, 4))]
-        assert main(argv) == 1
-        assert capsys.readouterr().out.startswith("violation at t=")
+
+    def test_budget_cut_search_is_undecided(self, ws, capsys, monkeypatch):
+        # x lies within the chain's bounds, (0, [2, 9)), so they cannot
+        # refute it, and one node cannot find its witness
+        argv = self._chain_argv(ws, blc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2)), pulse(2, 3))
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == "ok"
         monkeypatch.setattr(siglim.conditions, "DEFAULT_BUDGET", SearchBudget(max_nodes=1))
         assert main(argv) == 3
         assert capsys.readouterr().out.strip() == "undecided"
+
+    def test_refuted_chain_output_reports_where_it_leaves_the_bounds(self, ws, capsys,
+                                                                      monkeypatch):
+        # the chain's upper bound is 0 before 2, so x's 1 at 1 is a proved
+        # violation, found with no search node (not the last breakpoint + 1)
+        argv = self._chain_argv(ws, blc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2)), pulse(1, 3))
+        monkeypatch.setattr(siglim.conditions, "DEFAULT_BUDGET", SearchBudget(max_nodes=1))
+        assert main(argv) == 1
+        assert capsys.readouterr().out.strip() == "violation at t=1"
+
+    def test_refuted_chain_output_reports_the_outer_dwell_violation(self, ws, capsys):
+        # within the bounds, but the 0-run from 4 to 9/2 breaks the outer dwell
+        outer = bailc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2), AicParams(1, 1))
+        x = make_signal(0, [(2, 1), (4, 0), (F(9, 2), 1), (9, 0)])
+        assert main(self._chain_argv(ws, outer, x)) == 1
+        assert capsys.readouterr().out.strip() == "violation at t=9/2"
 
     def test_dry_stage_sampler_is_not_an_input_error(self, ws, capsys):
         # the inner stage's sampler finds no witness for this input; the
@@ -191,6 +213,16 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out.startswith("violation at t=")
         assert captured.err == ""
+
+    def test_meet_document_reports_where_x_leaves_the_parts_boxes(self, ws, capsys):
+        # the parts' envelopes intersect in the one signal [2, 5); x is 0 at 2
+        meet = lc_meet(blc(identity_fn(), identity_fn(), BlcParams(1, 2, 1, 2)),
+                       blc(identity_fn(), identity_fn(), BlcParams(1, 3, 1, 3)))
+        argv = ["check", "--model", ws.model("meet.json", meet),
+                "--input", ws.signal("u.json", pulse(0, 3)),
+                "--candidate", ws.signal("x.json", pulse(3, 4))]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.strip() == "violation at t=2"
 
     def test_nothing_to_check_is_an_error(self, ws, capsys):
         cand = ws.signal("x.json", pulse(0, 1))

@@ -35,8 +35,8 @@ def test_search_trace_prints_counts_and_digest(tmp_path):
 # The digest of every serial search answer at seed 42, 30 and 100 cases per
 # law.  A change meant to move search answers updates these constants and
 # says so.
-SEARCH_TRACE_30 = "1002 calls, sha256 8d6785310abf513ed6715f8d507de138a0210df5ad51d9d081cca46776229d1c"
-SEARCH_TRACE_100 = "3348 calls, sha256 88df2286b5e8475e93cc234d0b610834c64ecc90f66686adac94748da9f9a59b"
+SEARCH_TRACE_30 = "1002 calls, sha256 5f753504e647e8216b485f3a0f7ac5bbaa1c7e547ce6122321d16a79e984e7c4"
+SEARCH_TRACE_100 = "3348 calls, sha256 576af3543d8903d699b2ea7c035148cd2e35ad2e4a1ac1025ce411a55413b24a"
 
 
 def test_search_trace_digest_is_pinned(tmp_path):

@@ -1,17 +1,21 @@
-"""The serial witness search's grids and candidate streams, and its answers.
+"""The serial witness search's grids and candidate streams, its ternary
+bounds, and its answers.
 
 The grids are built as integer ticks; the Fraction versions below are the
 definitions they must reproduce, point for point.  The grid candidate stream
 leaves out what lies outside a stage's envelopes; the full stream must be
 the Fraction definition's, and filtering either through the stage must give
-the same members.  A fixed corpus of chains pins what the search answers
-under the default budget, the one `siglim check` runs on serial documents.
+the same members.  The bounds are checked one way: no member a sampler
+draws, and no output the search finds a witness for, may lie outside them.
+A fixed corpus of chains pins what the search answers under the default
+budget, the one `siglim check` runs on serial documents.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
@@ -19,11 +23,15 @@ from itertools import combinations
 import pytest
 
 from siglim import (
-    AicParams, SearchBudget, Signal, SiglimError, bailc, blc, breakpoints, flc, lc_join, lc_meet,
-    serial, serial_membership, signal_leq, sol,
+    AicParams, BlcParams, SearchBudget, Signal, SiglimError, bailc, blc, breakpoints, constant, flc,
+    lc_join, lc_meet, pulse, serial, serial_membership, signal_leq, sol,
 )
+from siglim import props
 from siglim.boolfn import and_fn, identity_fn, or_fn
-from siglim.conditions import _distinct_members, _grid_candidates, _grid_times
+from siglim.conditions import (
+    Serial, _clamp, _composed_bounds, _distinct_members, _grid_candidates, _grid_times,
+    serial_search,
+)
 from siglim.inertial import _dwell_grid
 from siglim.props import (
     _feasible_aic, _gen_overlap_params, _rat, gen_boolfn, gen_boolfn_pair_leq, gen_multisignal,
@@ -215,11 +223,128 @@ def answer_digest(answers):
 
 # the default-budget answers to chain_corpus(0, 300); a change to the search
 # that moves one of them must say which and why
-CORPUS_COUNTS = {(0, False): 61, (0, True): 31, (1, False): 208}
-CORPUS_DIGEST = "b7e6aae099ba12831a7e1ce8c2a224ccbf4885d965e50d6b0daa729ab609a56d"
+CORPUS_COUNTS = {(0, False): 87, (0, True): 5, (1, False): 208}
+CORPUS_DIGEST = "29bbfe67e5cf7ee5dde37b84a6087c94dc2738670913aed666454464fc06599f"
 
 
 def test_default_budget_search_answers_are_pinned():
     corpus = chain_corpus(0, 300)
     answers = [serial_membership(outer, inners, u, x) for outer, inners, u, x in corpus]
     assert answer_digest(answers) == (CORPUS_COUNTS, CORPUS_DIGEST)
+
+
+# --- ternary bounds ----------------------------------------------------------
+
+def _box_model(kind, m, rng):
+    """A model of kind blc, bailc, flc, meet, join or serial with m inputs."""
+    if kind == "flc":
+        return flc(gen_boolfn(m, rng), _rat(rng, 0, 2))
+    f, g = gen_boolfn_pair_leq(m, rng)
+    if kind in ("blc", "bailc"):
+        return _leaf(kind, f, g, rng)
+    if kind == "serial":
+        # built directly, so that it searches even where a closed form exists
+        inners = [_leaf("bailc", *gen_boolfn_pair_leq(1, rng), rng) for _ in range(m)]
+        outer = _leaf(rng.choice(("blc", "bailc")), f, g, rng)
+        return Serial(*_composed_bounds(outer, inners), outer, tuple(inners))
+    i, j = (_leaf(rng.choice(("blc", "bailc")), f, g, rng) for _ in range(2))
+    return (lc_meet if kind == "meet" else lc_join)(i, j)
+
+
+@pytest.mark.parametrize("kind", ["blc", "bailc", "flc", "meet", "join", "serial"])
+@pytest.mark.parametrize("seed", range(12))
+def test_members_for_inputs_in_a_box_lie_within_its_bounds(kind, seed):
+    rng = random.Random(f"box:{kind}:{seed}")
+    m = rng.randint(1, 2)
+    model = _box_model(kind, m, rng)
+    lo = tuple(gen_signal(rng, 6) for _ in range(m))
+    hi = tuple(x | gen_signal(rng, 6) for x in lo)
+    L, U = model.bounds(lo, hi)
+    for k in range(3):
+        u = tuple(_clamp(gen_signal(rng, 6), a, b) for a, b in zip(lo, hi))
+        try:
+            members = model.sample(u, 4, seed * 3 + k)
+        except SiglimError:
+            continue  # no witness drawn for this input
+        for y in members:
+            assert signal_leq(L, y) and signal_leq(y, U), (u, y)
+
+
+def _assert_refutation_is_sound(outer, inners, u, xs):
+    """No member the chain's sampler draws for u is refuted, and no refuted
+    x has a witness the search without its bounds finds."""
+    search = serial_search(outer, inners, u)
+    refutes = search.refutes or (lambda x: False)
+    chain = Serial(*_composed_bounds(outer, inners), outer, tuple(inners))
+    for seed in range(2):
+        try:
+            members = chain.sample(u, 3, seed)
+        except SiglimError:
+            members = []  # a stage drew no witness for this input
+        assert not any(refutes(y) for y in members)
+    refuted = [x for x in xs if refutes(x)]
+    search.refutes = None
+    assert all(search(x) != (1, False) for x in refuted)
+    return len(refuted)
+
+
+def test_chain_corpus_members_pass_the_refutation():
+    refuted = sum(_assert_refutation_is_sound(outer, inners, u, [x])
+                  for outer, inners, u, x in chain_corpus(0, 300))
+    assert refuted > 50
+
+
+@pytest.mark.parametrize("law", ["4.8", "6.6", "6.6s"])
+def test_law_members_pass_the_refutation(law, monkeypatch):
+    queries = []
+    real = props.serial_membership
+
+    def recording(outer, inners, u, x, *args):
+        queries.append((outer, inners, u, x))
+        return real(outer, inners, u, x, *args)
+
+    monkeypatch.setattr(props, "serial_membership", recording)
+    cfg = props.GenConfig(seed=42, cases=30)
+    for case in range(cfg.cases):
+        props.replay_case(law, cfg, case)
+    assert len(queries) == 30
+    refuted = sum(_assert_refutation_is_sound(*q[:3], [q[3]]) for q in queries)
+    assert refuted > 5
+
+
+def test_refuted_nested_chain_query_samples_no_stage(monkeypatch):
+    # the nested chain's box comes from its own stages' bounds, so an x
+    # outside the whole chain's bounds is refuted before any stage is sampled
+    inner = serial(blc(identity_fn(), identity_fn(), BlcParams(1, 2, 1, 2)),
+                   [bailc(identity_fn(), identity_fn(), BlcParams(1, 2, 1, 2), AicParams(0, 1))])
+    assert inner.kind == "serial"
+    outer = blc(identity_fn(), identity_fn(), BlcParams(0, 1, 0, 1))
+    u = (pulse(0, 3),)
+    calls = []
+    real = Serial._sample
+
+    def counting(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(Serial, "_sample", counting)
+    # u is 0 from 3 on, so every stage's output, and x, is 0 from 7 on
+    assert serial_membership(outer, [inner], u, constant(1)) == (0, False)
+    assert calls == []
+    # the chain's bounds are ([5, 6), [3, 8)): an x within them is searched,
+    # and the nested stage is sampled
+    serial_membership(outer, [inner], u, pulse(5, 6))
+    assert calls
+
+
+def test_arity_16_outer_answers_a_query_quickly():
+    # the outer's box images visit the boxes the walk meets, never a table
+    # of all 2**32 pairs of corners
+    m = 16
+    inners = [bailc(identity_fn(), identity_fn(), BlcParams(1, 1 + k % 3, 1, 1 + k % 3),
+                    AicParams(0, 1)) for k in range(m)]
+    outer = blc(and_fn(m), or_fn(m), BlcParams(1, 2, 1, 2))
+    u = tuple(pulse(k, k + 3) for k in range(m))
+    start = time.process_time()
+    assert serial_membership(outer, inners, u, constant(1)) == (0, False)
+    assert time.process_time() - start < 2
