@@ -8,7 +8,7 @@ bit strings in that same order ("0001" is the two-input AND).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import ArityMismatch, PreconditionViolated
@@ -39,6 +39,15 @@ class BoolFn:
         for b in bits:
             idx = (idx << 1) | b
         return self.table[idx]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, computed once: a table of 2**16 entries
+        takes longer to hash than a walk over short signals."""
+        return hash((self.arity, self.table))
 
     @cached_property
     def _one_input(self) -> tuple[int, Bit] | None:
@@ -134,7 +143,15 @@ def apply_pair(f: BoolFn, g: BoolFn, u: MultiSignal) -> tuple[Signal, Signal]:
         raise ArityMismatch(
             f"functions of arity {f.arity} and {g.arity} applied to {len(u)} signals"
         )
-    return _images((f.table, g.table), u)
+    return _images(_packed(f, g), u)
+
+
+@lru_cache(maxsize=256)
+def _packed(f: BoolFn, g: BoolFn) -> tuple[int, ...]:
+    """One table whose entries are f's bit above g's, built once per pair:
+    the key hashes each function once in its lifetime and compares it by
+    identity on a hit."""
+    return tuple([a << 1 | b for a, b in zip(f.table, g.table)])
 
 
 def fn_compose(f: BoolFn, inner: list[BoolFn] | tuple[BoolFn, ...]) -> BoolFn:

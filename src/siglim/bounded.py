@@ -16,7 +16,7 @@ from functools import cached_property, reduce
 from typing import Callable
 
 from .boolfn import BoolFn, apply_fn, apply_pair, fn_compose, fn_leq, fn_props, is_monotone
-from .conditions import LimitCondition, _clamp, _rng
+from .conditions import LimitCondition, _rng
 from .errors import InvalidBlc, MonotonyViolated, DistributivityUnverified, PreconditionViolated
 from .signals import (
     Bit,
@@ -24,9 +24,9 @@ from .signals import (
     Signal,
     Time,
     _box_images,
-    _lattice,
+    _clamp_base,
     _shrink,
-    _ticks,
+    _splice,
     as_time,
     constant,
     first_one_time,
@@ -134,16 +134,17 @@ class Blc(LimitCondition):
 def _window_samples(lo: Signal, hi: Signal, count: int, seed: int) -> list[Signal]:
     """The envelopes lo and hi, then seeded signals clamped between them.
 
-    Each seeded signal switches at up to 4 of the envelopes' merged
+    Each seeded signal x switches at up to 4 of the envelopes' merged
     transition times (time 0 when there are none), dropping the picks that
-    repeat its current value; it is built as ticks on the envelopes'
-    lattice and clamped in one walk.  The merged times are listed once per
+    repeat its current value.  Its clamp `lo | (x & hi)` is lo where x is 0
+    and `lo | hi` where x is 1, so it is spliced from slices of those two,
+    cut at x's edges.  The merged times and `lo | hi` are built once per
     call, for all the draws.
     """
     out = [lo, hi]
     rng = _rng(seed, "blc")
-    scale = _lattice((lo, hi))
-    ticks = _ticks((lo, hi), scale) or [0]
+    scale, ticks, sources = _clamp_base(lo, hi)
+    ticks = ticks or [0]
     n = len(ticks)
     while len(out) < count + 2:
         picks = sorted(rng.sample(range(n), rng.randint(0, min(4, n))))
@@ -153,7 +154,7 @@ def _window_samples(lo: Signal, hi: Signal, count: int, seed: int) -> list[Signa
             if rng.randint(0, 1) != v:
                 edges.append(ticks[k])
                 v ^= 1
-        out.append(_clamp(Signal._on(initial, scale, tuple(edges)), lo, hi))
+        out.append(_splice(initial, edges, sources, scale))
     return list(dict.fromkeys(out))[: max(count, 1)]
 
 

@@ -26,6 +26,7 @@ from .signals import (
     Signal,
     Time,
     _box_images,
+    _image,
     _ticks,
     as_time,
     make_signal,
@@ -56,13 +57,17 @@ class Flc(LimitCondition):
         return self.f
 
     def _output(self, u: MultiSignal) -> Signal:
-        """f of the inputs delay ago: the image of u, translated once.
+        """f of the inputs delay ago, in one walk on the shifted lattice.
 
         A shift commutes with a pointwise function, so this is
         `apply_fn(f, translate_all(u, delay))` as a function of time; both
-        are canonical signals, so they are equal as values too.  It shifts
-        one image instead of every input.
+        are canonical signals, so they are equal as values too.  The walk
+        moves each input tick by the delay as it reads it, so no input and
+        no image is copied to shift it.  A table that depends on at most one
+        input needs no walk: its image is shifted once.
         """
+        if self.f._one_input is None:
+            return _image(self.f.table, u, self.delay)
         return translate(apply_fn(self.f, u), self.delay)
 
     def envelopes(self, u: MultiSignal) -> tuple[Signal, Signal]:
@@ -70,8 +75,7 @@ class Flc(LimitCondition):
         return y, y
 
     def bounds(self, lo: MultiSignal, hi: MultiSignal) -> tuple[Signal, Signal]:
-        least, most = _box_images(self.f.table, self.f.table, lo, hi)
-        return translate(least, self.delay), translate(most, self.delay)
+        return _box_images(self.f.table, self.f.table, lo, hi, self.delay)
 
     def deltas(self) -> set[Time]:
         return {self.delay}

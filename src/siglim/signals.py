@@ -7,22 +7,29 @@ transition times are strictly increasing and consecutive values alternate, so
 two signals are equal as functions iff they are equal as values.
 
 Times are `fractions.Fraction` at the API and integer ticks inside: a signal
-stores its times multiplied by their least common denominator, and every walk
-(`combine`, `signal_leq`, `breakpoints`, `values_along`, the windows and
-`translate`) brings its operands onto a common lattice and does int
-arithmetic only, linear in the number of transitions.  Every time is exactly
-tick / scale, so every operation here is exact; nothing in this module ever
-rounds.
+stores its times multiplied by their least common denominator, and every
+operation (`combine`, `signal_leq`, the windows, `translate`) brings its
+operands onto a common lattice and does int arithmetic only, linear in the
+number of transitions.  Every time is exactly tick / scale, so every
+operation here is exact; nothing in this module ever rounds.
 
 Every walk over several signals is one merge kernel, `_sweep`.  It packs
-each transition into one int, `tick << s | j` for signal j, sorts them as
-plain ints and keeps the signals' values packed in one int code, which
-indexes a truth table once per distinct time.  `combine` reads a
-`BoolFn`'s table, a tuple of bits or a memo of its op; `_images` takes the
-images of several tables in one walk, as the bounded envelopes do for their
-two bound functions; `_box_images` takes the least and greatest of two
-tables over a box of inputs, as the models' `bounds` do; and `signal_leq`
-and `signal_between` stop at the first violation.
+each transition into one int, `tick << n | bit` with the signal's bit in
+the code, sorts them as plain ints and keeps the signals' values packed in
+one int code, which indexes a truth table once per distinct time.  The
+table's value has one or two bits, and the walk returns, for each bit, the
+ticks where it changes: each bit's list is one result signal's ticks, so a
+walk builds its results directly.  A tick offset applied as the events are
+built retards the walk, so a delayed image (`_image`, as fixed delays take
+it) is one walk on the shifted lattice.  `combine` reads a `BoolFn`'s
+table, a tuple of bits or a memo of its op; `_images` takes the images of
+two tables packed in one, as the bounded envelopes do for their two bound
+functions; `_box_images` takes the least and greatest of two tables over a
+box of inputs, as the models' `bounds` do; and `signal_leq` and
+`signal_between` stop at the first violation.  Reads that need no table
+take none: `breakpoints` is the sorted union of the signals' ticks,
+`values_along` bisects each signal at each time, and `_splice` builds a
+signal from slices of two others, as the window samples clamp their draws.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -263,69 +269,84 @@ def _bits(code: int, n: int) -> tuple[Bit, ...]:
     return tuple((code >> k) & 1 for k in range(n - 1, -1, -1))
 
 
-@cache
-def _flips(n: int) -> tuple[int, ...]:
-    """Signal j's bit in a code over n signals, for j in range(n)."""
-    return tuple(1 << (n - 1 - j) for j in range(n))
-
-
 def _sweep(
-    signals: Sequence[Signal], scale: int, table: Sequence[int], stop: int = -1,
-) -> tuple[int, list[int], list[int]]:
+    signals: Sequence[Signal], scale: int, table: Sequence[int], stop: int = -1, shift: int = 0,
+) -> tuple[int, tuple[list[int], list[int]]]:
     """Walk the signals' transitions once, in time order, through a table.
 
-    `scale` is a common multiple of the signals' scales.  The code of a time
-    packs the signals' values there as `_code` does, and `table[code]` is
-    the value the walk reports.  Returns (first, ticks, values): the value
-    on the unbounded left piece, then each tick where the value changes
-    with the value from that tick on.  With `range(1 << n)` as the table the
-    value is the code itself, which changes at every transition time.  The
-    walk returns early after the first change to `stop`.
+    `scale` is a common multiple of the signals' scales, and every tick is
+    moved by `shift` as the events are built, which retards the walk by
+    shift / scale.  The code of a time packs the signals' values there as
+    `_code` does, and `table[code]` is the value the walk reports, of one
+    or two bits.  Returns (first, (low, high)): the value on the unbounded
+    left piece, then the ticks where its bit 0 changes and those where its
+    bit 1 changes, so each bit's ticks are one signal's.  The walk returns
+    early after the first change to `stop`.
 
-    Each transition is one int, `tick << s | j` with `s = n.bit_length()`
-    and j the signal's index, so a plain int sort orders the events by
-    time, negative ticks included; each signal's events form one sorted
-    run, which Timsort finds and merges.  Coincident transitions fold into
-    one step, and the table is read once per distinct time.
+    Each transition is one int, `tick << n | bit` with bit the signal's bit
+    in the code, so a plain int sort orders the events by time, negative
+    ticks included, and the low n bits flip the code; each signal's events
+    form one sorted run, which Timsort finds and merges.  Coincident
+    transitions fold into one step, and the table is read once per
+    distinct time.
     """
     n = len(signals)
-    s = n.bit_length()
     code = 0
     events: list[int] = []
     for j, x in enumerate(signals):
         code = code << 1 | x.initial
-        f = scale // x.scale
-        events += [t * f << s | j for t in x.ticks]
+        f = scale // x.scale << n
+        c = shift << n | 1 << (n - 1 - j)
+        events += [t * f + c for t in x.ticks]
     first = cur = table[code]
-    ticks: list[int] = []
-    values: list[int] = []
+    low: list[int] = []
+    high: list[int] = []
     if not events or cur == stop:
-        return first, ticks, values
+        return first, (low, high)
     events.sort()
-    flips, low = _flips(n), (1 << s) - 1
-    prev = events[0] >> s
+    mask = (1 << n) - 1
+    to_low, to_high = low.append, high.append
+    prev = events[0] >> n
     for e in events:
-        t = e >> s
+        t = e >> n
         if t != prev:
             v = table[code]
             if v != cur:
-                ticks.append(prev)
-                values.append(v)
+                c = v ^ cur
+                if c == 1:
+                    to_low(prev)
+                elif c == 2:
+                    to_high(prev)
+                else:
+                    to_low(prev)
+                    to_high(prev)
                 if v == stop:
-                    return first, ticks, values
+                    return first, (low, high)
                 cur = v
             prev = t
-        code ^= flips[e & low]
-    v = table[code]
-    if v != cur:
-        ticks.append(prev)
-        values.append(v)
-    return first, ticks, values
+        code ^= e & mask
+    c = table[code] ^ cur
+    if c & 1:
+        to_low(prev)
+    if c & 2:
+        to_high(prev)
+    return first, (low, high)
 
 
 def _ticks(signals: Sequence[Signal], scale: int) -> list[int]:
     """The sorted union of the signals' transition ticks on scale."""
-    return _sweep(signals, scale, range(1 << len(signals)))[1]
+    out: set[int] = set()
+    for x in signals:
+        f = scale // x.scale
+        out.update(x.ticks if f == 1 else [t * f for t in x.ticks])
+    return sorted(out)
+
+
+def _shifted(signals: Sequence[Signal], delay: Time | int) -> tuple[int, int]:
+    """(scale, shift): the least lattice of the signals and the delay, and
+    the delay in its ticks."""
+    scale = lcm(delay.denominator, *[x.scale for x in signals])
+    return scale, delay.numerator * (scale // delay.denominator)
 
 
 class _Memo(dict):
@@ -359,39 +380,26 @@ def combine(op: Callable[..., int] | Sequence[Bit], *signals: Signal) -> Signal:
         raise ArityMismatch(f"a table of {len(table)} entries applied to {n} signals")
     elif table is op and not _BITS.issuperset(table):  # a BoolFn's is checked when built
         raise PreconditionViolated("table entries must be 0 or 1")
-    scale = _lattice(signals)
-    first, ticks, _ = _sweep(signals, scale, table)
+    return _image(table, signals)
+
+
+def _image(table: Sequence[Bit], signals: Sequence[Signal], delay: Time | int = 0) -> Signal:
+    """`combine(table, *signals)` retarded by delay, in one walk on the
+    shifted lattice."""
+    scale, shift = _shifted(signals, delay)
+    first, (ticks, _) = _sweep(signals, scale, table, -1, shift)
     return Signal._on(first, scale, tuple(ticks))
 
 
-@lru_cache(maxsize=256)
-def _packed(tables: tuple[tuple[Bit, ...], ...]) -> tuple[int, ...]:
-    """One table whose entries pack the tables' bits, the first most significant."""
-    return tuple(_code(bits) for bits in zip(*tables))
-
-
-def _images(tables: tuple[tuple[Bit, ...], ...], signals: Sequence[Signal]) -> tuple[Signal, ...]:
-    """`combine(table, *signals)` for each of the tables, in one walk.
-
-    The tables are truth tables of 2**n bits.  The walk reports their
-    packed values, and each image keeps the ticks where its bit changed.
-    """
-    scale = _lattice(signals)
-    return _unpack(len(tables), scale, *_sweep(signals, scale, _packed(tables)))
-
-
-def _unpack(
-    k: int, scale: int, first: int, ticks: list[int], values: list[int],
-) -> tuple[Signal, ...]:
-    """The k signals whose bits a `_sweep` over a packed table reported, the
-    first most significant."""
-    changed = [a ^ b for a, b in zip([first] + values, values)]
-    out = []
-    for i in range(k):
-        bit = 1 << (k - 1 - i)
-        mine = tuple([t for t, c in zip(ticks, changed) if c & bit])
-        out.append(Signal._on((first & bit) >> (k - 1 - i), scale, mine))
-    return tuple(out)
+def _images(
+    table: Sequence[int], signals: Sequence[Signal], delay: Time | int = 0,
+) -> tuple[Signal, Signal]:
+    """The images of the two tables whose bits the table packs, the first
+    in bit 1, retarded by delay, in one walk: each image is one bit's
+    ticks."""
+    scale, shift = _shifted(signals, delay)
+    first, (low, high) = _sweep(signals, scale, table, -1, shift)
+    return Signal._on(first >> 1, scale, tuple(high)), Signal._on(first & 1, scale, tuple(low))
 
 
 class _BoxMemo(dict):
@@ -426,32 +434,66 @@ class _BoxMemo(dict):
 
 def _box_images(
     f: Sequence[Bit], g: Sequence[Bit], lo: Sequence[Signal], hi: Sequence[Signal],
+    delay: Time | int = 0,
 ) -> tuple[Signal, Signal]:
     """(L, U): at each time, the least value of the table f and the greatest
     of the table g over the arguments lying between lo's and hi's values
-    there, in one walk over the 2m signals."""
-    signals = (*lo, *hi)
-    scale = _lattice(signals)
-    return _unpack(2, scale, *_sweep(signals, scale, _BoxMemo(f, g, len(lo))))
+    there, retarded by delay, in one walk over the 2m signals."""
+    return _images(_BoxMemo(f, g, len(lo)), (*lo, *hi), delay)
+
+
+def _on_lattice(x: Signal, scale: int) -> tuple[Bit, Sequence[int]]:
+    """(initial, ticks) of x on scale, a multiple of x.scale."""
+    f = scale // x.scale
+    return x.initial, x.ticks if f == 1 else [t * f for t in x.ticks]
+
+
+def _splice(
+    v: Bit, edges: Sequence[int], sources: Sequence[tuple[Bit, Sequence[int]]], scale: int,
+) -> Signal:
+    """The signal equal to sources[x(t)] at each t, for the selector x that
+    starts at v and flips at the strictly increasing edges.
+
+    The sources are two (initial, ticks) pairs on scale, as the edges are.
+    Each piece of x is a slice of its source's ticks, bisected at the
+    piece's ends, and a piece's first tick is kept where the value changes
+    there, so the cost is the result's length plus one bisection per edge.
+    """
+    initial, ticks = sources[v]
+    j = bisect_left(ticks, edges[0]) if edges else len(ticks)
+    out = list(ticks[:j])
+    cur = initial ^ (j & 1)
+    for k, a in enumerate(edges, 1):
+        v ^= 1
+        start, ticks = sources[v]
+        i = bisect_right(ticks, a)
+        if start ^ (i & 1) != cur:
+            out.append(a)
+        j = bisect_left(ticks, edges[k]) if k < len(edges) else len(ticks)
+        out += ticks[i:j]
+        cur = start ^ (j & 1)
+    return Signal._on(initial, scale, tuple(out))
+
+
+def _clamp_base(
+    lo: Signal, hi: Signal,
+) -> tuple[int, list[int], tuple[tuple[Bit, Sequence[int]], tuple[Bit, Sequence[int]]]]:
+    """(scale, ticks, sources) for clamping signals into lo | (x & hi) with
+    `_splice`: the envelopes' lattice, their merged transition ticks on it,
+    and lo and lo | hi as `_splice` sources there, the clamp's values where
+    x is 0 and where it is 1."""
+    scale = _lattice((lo, hi))
+    sources = (_on_lattice(lo, scale), _on_lattice(combine(_OR, lo, hi), scale))
+    return scale, _ticks((lo, hi), scale), sources
 
 
 def values_along(u: Sequence[Signal], times: Iterable[Time]) -> list[tuple[Bit, ...]]:
-    """The signals' values at each of the ascending times, in one walk.
+    """The signals' values at each of the times.
 
-    The cost is linear in the number of times plus transitions.
+    Each value is one bisection of a signal's ticks, so the cost is
+    logarithmic in the transitions per signal and time.
     """
-    n = len(u)
-    scale = _lattice(u)
-    code, ticks, codes = _sweep(u, scale, range(1 << n))
-    k, last = 0, len(ticks)
-    out: list[tuple[Bit, ...]] = []
-    for t in times:
-        tick = t.numerator * scale // t.denominator
-        while k < last and ticks[k] <= tick:
-            code = codes[k]
-            k += 1
-        out.append(_bits(code, n))
-    return out
+    return [tuple([x.value_at(t) for x in u]) for t in times]
 
 
 def translate(x: Signal, d: Time | int) -> Signal:
@@ -525,7 +567,7 @@ def signal_leq(x: Signal, y: Signal) -> bool:
     One walk over both signals' transitions that stops at the first time
     where x exceeds y; no signal is built.
     """
-    first, ticks, _ = _sweep((x, y), _lattice((x, y)), _LEQ, 0)
+    first, (ticks, _) = _sweep((x, y), _lattice((x, y)), _LEQ, 0)
     return first == 1 and not ticks
 
 
@@ -535,7 +577,7 @@ def signal_between(lo: Signal, x: Signal, hi: Signal) -> bool:
     `signal_leq(lo, x) and signal_leq(x, hi)` in one walk over the three
     signals' transitions, which stops at the first violation of either.
     """
-    first, ticks, _ = _sweep((lo, x, hi), _lattice((lo, x, hi)), _BETWEEN, 0)
+    first, (ticks, _) = _sweep((lo, x, hi), _lattice((lo, x, hi)), _BETWEEN, 0)
     return first == 1 and not ticks
 
 

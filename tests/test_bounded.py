@@ -45,6 +45,7 @@ from siglim import (
     window_any,
     xor_fn,
 )
+import siglim.boolfn as boolfn
 import siglim.signals as algebra
 from siglim.bounded import _distributes, pattern_input, probe_inputs
 from strategies import multisignals, nonneg_rationals, signals
@@ -154,6 +155,16 @@ class TestSweepCount:
             assert len(swept) == len(outputs)
             assert bits[0] == 1 and bits[2:] == [0, 0, 0]
 
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_window_samples_take_two_walks(self, swept, count):
+        # the envelopes, then lo | hi; every draw is clamped by slicing
+        u = self.inputs()
+        i = blc(and_fn(2), or_fn(2), params(1, 2, 1, 2))
+        xs = i.sample(u, count, 5)
+        assert len(swept) == 2
+        assert len(xs) == count
+        assert all(i.contains(u, x) == 1 for x in xs)
+
 
 class TestValidity:
     def test_overlapping_windows_are_valid(self):
@@ -191,6 +202,30 @@ class TestLargeArity:
         lo, hi = envelopes(and_fn(12), or_fn(12), params(1, 2, 1, 2), u)
         assert i.contains(u, lo) == i.contains(u, hi) == 1
         assert not i.deterministic
+
+    def test_arity_sixteen_bounds_are_packed_and_hashed_once(self):
+        # the envelopes read one packed table of the two bound functions;
+        # counted, not timed: a lookup that hashed the tables again would
+        # read 2**16 entries of each per call
+        class CountingTable(tuple):
+            hashed = 0
+
+            def __hash__(self):
+                CountingTable.hashed += 1
+                return super().__hash__()
+
+        f = BoolFn(16, CountingTable(and_fn(16).table))
+        g = BoolFn(16, CountingTable(or_fn(16).table))
+        i = blc(f, g, params(1, 2, 1, 2))
+        boolfn._packed.cache_clear()
+        CountingTable.hashed = 0
+        for k in range(20):
+            u = tuple(pulse(k + j % 3, k + 4 + j % 5) for j in range(16))
+            lo, _ = i.envelopes(u)
+            assert i.contains(u, lo) == 1
+            assert i.contains(u, ~lo) == 0
+        assert boolfn._packed.cache_info().misses == 1
+        assert CountingTable.hashed <= 2
 
 
 class TestDeterminism:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import siglim.inertial as inertial_module
+import siglim.signals as signals_module
 from oracles import aic_bit
 from siglim import (
     AicParams,
@@ -63,6 +65,31 @@ class TestFixedDelay:
         want = apply_fn(f, translate_all(u, d))
         assert flc(f, d).sample(u, 1, 0) == [want]
         assert flc(f, d).contains(u, want) == 1
+
+    def test_output_takes_one_walk_and_no_translate(self, monkeypatch):
+        # walks counted, not clock time, as in the signal algebra's cost
+        # tests: the delay is folded into the walk over the inputs
+        swept = []
+        real = signals_module._sweep
+
+        def counting(*args):
+            swept.append(None)
+            return real(*args)
+
+        def refused(*args):
+            raise AssertionError("translate called")
+
+        u = (make_signal(0, [(k, (k + 1) % 2) for k in range(300)]),
+             make_signal(1, [(k + F(1, 3), k % 2) for k in range(300)]))
+        i = flc(xor_fn(), F(5, 2))
+        want = translate(u[0] ^ u[1], F(5, 2))
+        monkeypatch.setattr(signals_module, "_sweep", counting)
+        monkeypatch.setattr(inertial_module, "translate", refused)
+        assert i.sample(u, 1, 0) == [want]
+        assert len(swept) == 1
+        swept.clear()
+        assert i.contains(u, want) == 1
+        assert len(swept) == 1
 
     def test_negative_delay_rejected(self):
         with pytest.raises(NegativeDelay):

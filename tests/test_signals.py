@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -49,7 +49,10 @@ from siglim import (
 )
 from siglim.boolfn import MAX_ARITY
 from siglim.conditions import _clamp
-from siglim.signals import _BETWEEN, _bits, _code, _lattice, _shrink, _sweep
+from siglim.signals import (
+    _BETWEEN, _bits, _box_images, _code, _image, _images, _lattice, _on_lattice, _shrink, _splice,
+    _sweep, _ticks,
+)
 from strategies import blc_params, boolfn_pairs_leq, boolfns, nonneg_rationals, rationals, signals
 
 F = Fraction
@@ -486,9 +489,25 @@ def signal_tuples(draw, min_size: int = 1, max_size: int = MAX_ARITY) -> list[Si
     return out
 
 
-def random_table(seed: int, n: int) -> tuple[int, ...]:
+def random_table(seed: int, n: int, width: int = 1) -> tuple[int, ...]:
     rng = random.Random(seed)
-    return tuple(rng.getrandbits(1) for _ in range(1 << n))
+    return tuple(rng.getrandbits(width) for _ in range(1 << n))
+
+
+def oracle_bit_ticks(signals, scale, table):
+    """(first, (low, high)) on the tuple-event walk: the value on the left
+    piece, then the ticks where bit 0 and where bit 1 of the table's value
+    change."""
+    first = cur = table[_code(x.initial for x in signals)]
+    low, high = [], []
+    for t, code in oracle_sweep(signals, scale):
+        c = table[code] ^ cur
+        if c & 1:
+            low.append(t)
+        if c & 2:
+            high.append(t)
+        cur ^= c
+    return first, (low, high)
 
 
 class TestKernel:
@@ -534,9 +553,60 @@ class TestKernel:
         x = make_signal(1, [(k, k % 2) for k in range(-4, 400)])
         assert not signal_between(lo, x, hi)
         # the walk reports the violation at -5 and reads no further
-        assert _sweep((lo, x, hi), 1, _BETWEEN, 0) == (1, [-5], [0])
-        assert _sweep((lo, x, hi), 1, _BETWEEN) == (1, [-5, -4], [0, 1])
+        assert _sweep((lo, x, hi), 1, _BETWEEN, 0) == (1, ([-5], []))
+        assert _sweep((lo, x, hi), 1, _BETWEEN) == (1, ([-5, -4], []))
         assert signal_between(lo, x & hi, hi)
+
+    @given(signal_tuples(), st.integers(0, 2**32), st.sampled_from([1, 2]), st.integers(1, 3))
+    @settings(max_examples=80)
+    def test_per_bit_ticks_agree_with_the_oracle(self, xs, seed, width, k):
+        # one list per bit of the table's value, on the least lattice and a
+        # multiple of it
+        table = random_table(seed, len(xs), width)
+        scale = k * _lattice(xs)
+        assert _sweep(xs, scale, table) == oracle_bit_ticks(xs, scale, table)
+
+    @given(signal_tuples(), st.integers(0, 2**32), rationals(-14, 14, max_den=7))
+    @example([pulse(-3, 2), charfn([(F(-1, 2), F(1, 3)), (4, 5)])], 5, F(-5, 7))
+    @example([pulse(F(-1, 2), 2), constant(1)], 6, F(2, 9))
+    @settings(max_examples=80)
+    def test_shifted_walk_is_the_translated_image(self, xs, seed, d):
+        # d is often negative and off the signals' lattice (denominators up
+        # to 6 against 7 here)
+        n = len(xs)
+        f, g = random_table(seed, n), random_table(seed + 1, n)
+        packed = tuple(a << 1 | b for a, b in zip(f, g))
+        assert _image(f, xs, d) == translate(combine(f, *xs), d)
+        assert _images(packed, xs, d) == (translate(combine(f, *xs), d),
+                                          translate(combine(g, *xs), d))
+
+    @given(signal_tuples(2, 4), st.integers(0, 2**32), rationals(-14, 14, max_den=7))
+    @settings(max_examples=40)
+    def test_shifted_box_images_are_translated(self, xs, seed, d):
+        m = len(xs) // 2
+        lo, hi = xs[:m], xs[m:2 * m]
+        f, g = random_table(seed, m), random_table(seed + 1, m)
+        least, most = _box_images(f, g, lo, hi)
+        assert _box_images(f, g, lo, hi, d) == (translate(least, d), translate(most, d))
+
+    @given(signal_tuples(2, 2), st.data())
+    @settings(max_examples=120)
+    def test_splice_is_the_clamp(self, pair, data):
+        # lo and hi in either order or equal, constants included; the draw
+        # switches on lo's and hi's ticks, half a tick either side of them,
+        # and elsewhere
+        lo, hi = data.draw(st.sampled_from([pair, pair[::-1], (pair[0], pair[0])]))
+        scale = 2 * _lattice((lo, hi))
+        pool = {t + e for t in _ticks((lo, hi), scale) for e in (-1, 0, 1)} | {-30, 0, 30}
+        edges = sorted(data.draw(st.sets(st.sampled_from(sorted(pool)), max_size=6)))
+        v = data.draw(st.integers(0, 1))
+        x = Signal._on(v, scale, tuple(edges))
+        sources = (_on_lattice(lo, scale), _on_lattice(lo | hi, scale))
+        want = oracle_combine(lambda a, b, c: a | (b & c), lo, x, hi)
+        got = _splice(v, edges, sources, scale)
+        assert got == want
+        assert_canonical(got)
+        assert_on_lattice(got)
 
     def test_tables_are_checked(self):
         with pytest.raises(ArityMismatch):
