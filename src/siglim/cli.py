@@ -108,6 +108,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 3
         if bit != 1:
             t = _violation_time(model, u, x)
+            if t is None and isinstance(model, Serial):
+                # x is inside the chain's bounds: no time is to blame
+                print("violation: the witness search found no intermediate signals")
+                return 1
             if t is None:
                 pts = breakpoints(*(list(u) + [x]))
                 t = (pts[-1] + 1) if pts else Fraction(0)

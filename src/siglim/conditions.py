@@ -681,7 +681,7 @@ class _Stage(NamedTuple):
 
     model: LimitCondition
     block: MultiSignal
-    admits: Callable[[Signal], Bit]
+    admits: Callable[[Signal], Bit] | None  # None for a finite output list
     env: tuple[Signal, Signal] | None
     members: list[Signal]
     final: bool  # the grid must not extend members: the finite output list, or cap members
@@ -695,23 +695,31 @@ class _SerialSearch:
     over the stages' output boxes (a stage's envelopes, else its `bounds`
     for its block, else the box (0, 1)).  The stages' membership predicates
     and samples are built once, on the first output the refutation leaves
-    standing.  Calling the search with an output x first asks the
-    refutation, which answers a refuted x with (0, False), a proof; it then
-    does the per-output work: the constructed candidates, the first pass,
-    then the grid round.
+    standing; a stage with a finite output list builds no predicate, since
+    the list is its whole answer.  Calling the search with an output x
+    first asks the refutation, which answers a refuted x with (0, False), a
+    proof; it then does the per-output work: the constructed candidates,
+    the first pass, then the grid round, whose deltas are gathered on the
+    first grid built.
+
+    The outer stage's predicate for an intermediate tuple, `i.admits(combo)`,
+    is built on the first ask and kept for every later output the search is
+    asked about, until max_nodes tuples are kept; a tuple met after that
+    builds its predicate afresh on each ask.  The record lives as long as
+    the search.
     """
 
     def __init__(self, i: LimitCondition, js: Sequence[LimitCondition], u: MultiSignal,
                  budget: SearchBudget, seed: int) -> None:
         self.outer, self.budget, self.seed = i, budget, seed
         self.parts = list(zip(js, DirectProduct(tuple(js)).split(u)))
-        self.deltas = i.deltas().union(*(j.deltas() for j in js))
         self.cap = max(4, int(round(budget.max_nodes ** (1.0 / len(js)))))
         # a stage with finitely many outputs offers them all to the first
         # pass, so when every stage does, bounds would only add work
         self.finite = [j.finite_outputs(blk, seed) for j, blk in self.parts]
         self.envs: list[tuple[Signal, Signal] | None] = []
         self.refutes = None
+        self.outers: dict[tuple[Signal, ...], Callable[[Signal], Bit]] = {}
         if None in self.finite:
             self.envs = [j.envelopes(blk) for j, blk in self.parts]
             self.refutes = _refutation(i, [
@@ -719,16 +727,21 @@ class _SerialSearch:
             ])
 
     @cached_property
+    def deltas(self) -> set[Time]:
+        """The chain's delays and dwells, which only the grid round reads."""
+        return self.outer.deltas().union(*(j.deltas() for j, _ in self.parts))
+
+    @cached_property
     def stages(self) -> list[_Stage]:
         """Each stage's membership predicate, envelopes and admitted
         samples, or its finite output list."""
         out = []
         for k, (j, blk) in enumerate(self.parts):
-            admits = j.admits(blk)
             finite = self.finite[k]
             if finite is not None:
-                out.append(_Stage(j, blk, admits, None, list(dict.fromkeys(finite)), True))
+                out.append(_Stage(j, blk, None, None, list(dict.fromkeys(finite)), True))
                 continue
+            admits = j.admits(blk)
             try:
                 raw = j.sample(blk, self.budget.samples, self.seed)
             except (EmptyMeet, EmptyBailc):
@@ -767,7 +780,7 @@ class _SerialSearch:
     def __call__(self, x: Signal) -> tuple[Bit, bool]:
         if self.refutes is not None and self.refutes(x):
             return 0, False
-        i, budget, cap = self.outer, self.budget, self.cap
+        budget, cap, outers = self.budget, self.cap, self.outers
         fixed = self._fixed(x)
         asked: set[tuple[Signal, ...]] = set()
 
@@ -776,7 +789,12 @@ class _SerialSearch:
             for combo in combos:
                 if combo not in asked:
                     asked.add(combo)
-                    if i.contains(combo, x):
+                    admits = outers.get(combo)
+                    if admits is None:
+                        admits = self.outer.admits(combo)
+                        if len(outers) < budget.max_nodes:
+                            outers[combo] = admits
+                    if admits(x):
                         return True
             return False
 
@@ -831,15 +849,18 @@ def serial_membership(
     output boxes, or breaking a bailc outer's dwell, or settling outside a
     sol outer's range, is no member, and the answer (0, False) is a proof
     reached with no stage sampled.  Otherwise each stage's fixed members
-    come first: its samples, or its finite output
-    list, and the candidates constructed from x that it admits.  A first
+    come first: its finite output list, which is its whole answer and
+    needs no membership predicate, or its samples and the candidates
+    constructed from x that it admits.  A first
     pass asks the outer stage about their combinations, but only those the
     grid round would reach within budget.max_nodes, so a 1 from it is a 1
     that round would give.  Then one grid round extends each stage's list;
     grid candidates outside a stage's envelopes are never built, and no
-    combination is asked twice.  When every list is final (deterministic
+    combination is asked twice.  The outer stage's predicate for a
+    combination is built once per search and kept for the search's later
+    outputs (see `_SerialSearch`).  When every list is final (deterministic
     stages give their one output), the grid adds nothing and the first pass
-    answers exactly.
+    answers exactly, with no grid and no delays read.
     """
     return serial_search(i, js, u, budget, seed)(x)
 

@@ -11,6 +11,7 @@ a closed criterion checked here against an explicit witness search.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -33,7 +34,6 @@ from .signals import (
     signal_between,
     signal_leq,
     translate,
-    values_along,
 )
 
 
@@ -185,38 +185,33 @@ def bailc_nonempty(f: BoolFn, g: BoolFn, p: BlcParams, a: AicParams) -> Bit:
     )
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, n: int) -> None:
-        self.left = n
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
-
-
 def _dwell_dfs(
-    grid: list[Time], bounds: list[tuple[Bit, Bit]], a: AicParams,
-    budget: _Budget, rng: random.Random | None,
+    scale: int, grid: list[int], bounds: list[tuple[Bit, Bit]], limits: tuple[int, int],
+    max_nodes: int, rng: random.Random | None,
 ) -> Signal | None:
     """Depth-first construction of a signal between two envelopes respecting
-    dwells.
+    dwells, on integer ticks of the lattice 1/scale.
 
-    Cells are the pieces cut by the non-empty grid; edges may only sit on
-    grid points, which include every envelope breakpoint, so the envelopes
-    are constant per cell, and bounds holds their values on each cell.  Free
-    cells prefer keeping the current value, which finds witnesses with the
-    fewest switches first.
+    Cells are the pieces cut by the non-empty grid of ticks; edges may only
+    sit on grid points, which include every envelope breakpoint, so the
+    envelopes are constant per cell, and bounds holds their values on each
+    cell.  limits[v] is the dwell, in ticks, that a run of the value v must
+    exceed before the next edge: delta_f for 0, delta_r for 1.  At most
+    max_nodes nodes are visited.  Free cells prefer keeping the current value, which
+    finds witnesses with the fewest switches first; rng, when given, is
+    drawn once per inner node and reverses that order a quarter of the time.
     """
     n = len(bounds)
+    left = max_nodes
+    edges: list[int] = []
 
-    def rec(idx: int, value: Bit, last_edge: Time | None,
-            edges: list[tuple[Time, Bit]]) -> Signal | None:
-        if not budget.spend():
+    def rec(idx: int, value: Bit, last_edge: int | None) -> Signal | None:
+        nonlocal left
+        left -= 1
+        if left < 0:
             return None
         if idx == n:
-            return Signal(edges[0][1] ^ 1 if edges else value, tuple(edges))
+            return Signal._on(value ^ (len(edges) & 1), scale, tuple(edges))
         choices = [value, 1 - value] if idx else [0, 1]
         if rng is not None and rng.random() < 0.25:
             choices.reverse()
@@ -224,31 +219,29 @@ def _dwell_dfs(
         for v in choices:
             if v < lo_v or v > hi_v:
                 continue
-            if idx == 0:
-                out = rec(1, v, None, edges)
-            elif v == value:
-                out = rec(idx + 1, v, last_edge, edges)
+            if idx == 0 or v == value:
+                out = rec(idx + 1, v, last_edge)
             else:
                 t = grid[idx - 1]
-                if last_edge is not None:
-                    need = a.delta_r if value == 1 else a.delta_f
-                    if t - last_edge <= need:
-                        continue
-                edges.append((t, v))
-                out = rec(idx + 1, v, t, edges)
+                if last_edge is not None and t - last_edge <= limits[value]:
+                    continue
+                edges.append(t)
+                out = rec(idx + 1, v, t)
                 if out is None:
                     edges.pop()
             if out is not None:
                 return out
         return None
 
-    return rec(0, 0, None, [])
+    return rec(0, 0, None)
 
 
-def _dwell_grid(lo: Signal, hi: Signal, a: AicParams) -> list[Time]:
+def _dwell_grid(lo: Signal, hi: Signal, a: AicParams) -> tuple[int, list[int]]:
+    """(scale, ticks): the envelope breakpoints and the earliest of their
+    dwell shifts, 96 points in all at most, as ascending ticks on the
+    lattice 1/scale, which holds both envelopes and both dwells."""
     # envelope breakpoints are mandatory: cells must see lo and hi constant;
-    # only the dwell shifts may be capped.  The grid is built as ticks on
-    # one lattice and turned into times once.
+    # only the dwell shifts may be capped
     scale = lcm(lo.scale, hi.scale, a.delta_r.denominator, a.delta_f.denominator)
     r, f = (d.numerator * (scale // d.denominator) for d in (a.delta_r, a.delta_f))
     base = _ticks((lo, hi), scale)
@@ -257,7 +250,7 @@ def _dwell_grid(lo: Signal, hi: Signal, a: AicParams) -> list[Time]:
         extras.update([t + s for t in base])
     extras.difference_update(base)
     room = max(0, 96 - len(base))
-    return [Fraction(t, scale) for t in sorted(base + sorted(extras)[:room])]
+    return scale, sorted(base + sorted(extras)[:room])
 
 
 def _dwell_draws(
@@ -266,22 +259,31 @@ def _dwell_draws(
     """Seeded draws of the dwell search between two envelopes.
 
     The per-envelope work is done here, once: the order check, the grid of
-    envelope breakpoints plus dwell shifts, and the envelopes' values on its
-    cells.  Each draw `draw(seed)` runs one depth-first pass on them within
-    budget.max_nodes, taking choices in order for seed 0 and shuffled by
-    the seed otherwise, and checks its witness.
+    envelope breakpoints plus dwell shifts as ticks, the dwells in ticks,
+    and the envelopes' values on its cells, read by bisecting each
+    envelope's ticks at each grid point.  Each draw `draw(seed)` runs one
+    depth-first pass on them within budget.max_nodes, with int comparisons
+    only, taking choices in order for seed 0 and shuffled by the seed
+    otherwise, and checks its witness.
     """
     max_nodes = (budget or DEFAULT_BUDGET).max_nodes
     if not signal_leq(lo, hi):
         return lambda seed: None
-    grid = _dwell_grid(lo, hi, a)
+    scale, grid = _dwell_grid(lo, hi, a)
+    limits = (a.delta_f.numerator * scale // a.delta_f.denominator,
+              a.delta_r.numerator * scale // a.delta_r.denominator)
     # one cell before the first grid point, then one from each point on
-    bounds = values_along((lo, hi), [grid[0] - 1] + grid) if grid else []
+    envs = []
+    for s in (lo, hi):
+        k = scale // s.scale
+        ticks = [t * k for t in s.ticks]
+        envs.append([s.initial] + [s.initial ^ (bisect_right(ticks, t) & 1) for t in grid])
+    bounds = list(zip(*envs))
 
     def draw(seed: int) -> Signal | None:
         if grid:
             rng = _rng(seed, "dwell") if seed else None
-            x = _dwell_dfs(grid, bounds, a, _Budget(max_nodes), rng)
+            x = _dwell_dfs(scale, grid, bounds, limits, max_nodes, rng)
         else:  # constant envelopes: the constant lo is a witness
             x = Signal(lo.initial)
         if x is None or signal_between(lo, x, hi) and aic_contains(x, a):

@@ -114,3 +114,50 @@ def aic_bit(x: Signal, delta_r: Fraction, delta_f: Fraction) -> int:
         if any(x.value_at(p) != v for p in interval_points(x, t, t + need)):
             return 0
     return 1
+
+
+def dwell_dfs_oracle(grid: list[Fraction], bounds: list[tuple[int, int]],
+                     delta_r: Fraction, delta_f: Fraction, max_nodes: int, rng) -> Signal | None:
+    """The dwell search's depth-first pass on Fraction times.
+
+    Cells are the pieces cut by grid, and bounds holds the envelopes'
+    values on each; an edge may sit only on a grid point, and must end a
+    run longer than its dwell.  Free cells keep the current value first,
+    in reverse when rng (drawn once per inner node) falls below 1/4.  At
+    most max_nodes nodes are visited; None when none of them is a witness.
+    """
+    n = len(bounds)
+    left = [max_nodes]
+
+    def rec(idx, value, last_edge, edges):
+        left[0] -= 1
+        if left[0] < 0:
+            return None
+        if idx == n:
+            return Signal(edges[0][1] ^ 1 if edges else value, tuple(edges))
+        choices = [value, 1 - value] if idx else [0, 1]
+        if rng is not None and rng.random() < 0.25:
+            choices.reverse()
+        lo_v, hi_v = bounds[idx]
+        for v in choices:
+            if v < lo_v or v > hi_v:
+                continue
+            if idx == 0:
+                out = rec(1, v, None, edges)
+            elif v == value:
+                out = rec(idx + 1, v, last_edge, edges)
+            else:
+                t = grid[idx - 1]
+                if last_edge is not None:
+                    need = delta_r if value == 1 else delta_f
+                    if t - last_edge <= need:
+                        continue
+                edges.append((t, v))
+                out = rec(idx + 1, v, t, edges)
+                if out is None:
+                    edges.pop()
+            if out is not None:
+                return out
+        return None
+
+    return rec(0, 0, None, [])

@@ -38,7 +38,7 @@ from siglim import (
 )
 from siglim.cli import main
 from siglim.props import register_check, unregister_check
-from test_conditions import _dry_sampler
+from test_conditions import _composition_gap, _dry_sampler
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -213,6 +213,20 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out.startswith("violation at t=")
         assert captured.err == ""
+
+    def test_searched_chain_zero_names_no_time(self, ws, capsys):
+        # law 6.6 case 129 at seed 42: x lies within the chain's bounds and
+        # keeps the outer dwell, so only the witness search rejects it, and
+        # no time is to blame
+        outer, inner, (u,), x = _composition_gap()
+        chain = serial(outer, [inner])
+        assert chain.kind == "serial"
+        argv = ["check", "--model", ws.model("chain.json", chain),
+                "--input", ws.signal("u.json", u),
+                "--candidate", ws.signal("x.json", x)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.strip() == (
+            "violation: the witness search found no intermediate signals")
 
     def test_meet_document_reports_where_x_leaves_the_parts_boxes(self, ws, capsys):
         # the parts' envelopes intersect in the one signal [2, 5); x is 0 at 2

@@ -1,5 +1,9 @@
 """Limit conditions: membership semantics, combinators, serial dispatch."""
 
+import gc
+import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +17,7 @@ from siglim import (
     EmptyBailc,
     EmptyMeet,
     PreconditionViolated,
+    SearchBudget,
     aic_params,
     aic_set,
     and_fn,
@@ -52,9 +57,10 @@ from siglim import (
     translate,
 )
 from siglim import bounded, conditions, inertial, props
-from siglim.conditions import DEFAULT_BUDGET, Serial, _composed_bounds
+from siglim.conditions import DEFAULT_BUDGET, LimitCondition, Serial, _clamp, _composed_bounds
 from siglim.errors import BlockArityMismatch
 from siglim.inertial import Flc
+from siglim.props import gen_signal
 from strategies import boolfn_pairs_leq, multisignals, signals
 
 F = Fraction
@@ -213,6 +219,28 @@ def _composition_gap():
     return outer, inner, u, x
 
 
+def _record_outer_asks(monkeypatch, outer):
+    """The list that each question put to a predicate `outer.admits(v)`
+    appends v to, as a tuple."""
+    asked = []
+    real = LimitCondition.admits
+
+    def recording(self, v):
+        admits = real(self, v)
+        if self is not outer:
+            return admits
+        v = tuple(v)
+
+        def asking(y):
+            asked.append(v)
+            return admits(y)
+
+        return asking
+
+    monkeypatch.setattr(LimitCondition, "admits", recording)
+    return asked
+
+
 def _dry_sampler():
     """(i, u): a dwell stage whose seeded sampler finds no witness for u,
     though i admits outputs for u."""
@@ -304,6 +332,100 @@ class TestSerialDispatch:
             assert len(built) == len(set(built)) <= 11
             assert len(asked) > 2 * len(built)
 
+    def test_law_3_12_builds_one_outer_predicate_per_tuple(self, monkeypatch):
+        # a search keeps the outer stage's predicate for each intermediate
+        # tuple, and reuses it for every output of the case it is asked about
+        real_search, real_admits = props.serial_search, LimitCondition.admits
+        asking = []  # (outer, key) of the search answering an output now
+        built = Counter()
+
+        def admits(self, v):
+            if asking and self is asking[-1][0]:
+                built[asking[-1][1], tuple(v)] += 1
+            return real_admits(self, v)
+
+        def searching(outer, inners, *args):
+            search, key = real_search(outer, inners, *args), object()
+
+            def answer(x):
+                asking.append((outer, key))
+                try:
+                    return search(x)
+                finally:
+                    asking.pop()
+
+            return answer
+
+        monkeypatch.setattr(LimitCondition, "admits", admits)
+        monkeypatch.setattr(props, "serial_search", searching)
+        cfg = props.GenConfig(seed=42, cases=5)
+        for case in range(cfg.cases):
+            assert props.replay_case("3.12", cfg, case) is None
+        assert len(built) > 20
+        assert max(built.values()) == 1
+
+    def test_fixed_delay_stages_build_no_predicate(self, monkeypatch):
+        # a fixed delay's one output is its whole answer, so the search
+        # reads it and never builds the stage's membership predicate
+        outer = blc(and_fn(2), or_fn(2), params(1, 2, 1, 2))
+        inners = [flc(identity_fn(), 2), flc(identity_fn(), 3)]
+        chain = serial(outer, inners)
+        assert chain.kind == "serial"
+        calls = []
+        real = Flc._admits
+
+        def counting(self, v):
+            calls.append(self)
+            return real(self, v)
+
+        monkeypatch.setattr(Flc, "_admits", counting)
+        u = (pulse(0, 4), pulse(1, 5))
+        admits = chain.admits(u)
+        assert [admits(x) for x in (pulse(4, 10), constant(1), pulse(0, 1))] == [1, 0, 0]
+        assert calls == []
+
+    def test_all_final_search_reads_no_deltas(self, monkeypatch):
+        # the chain's delays only place grid times, and an all-final search
+        # builds no grid, not even for the outputs it rejects
+        def refused(self):
+            raise AssertionError("deltas read")
+
+        monkeypatch.setattr(Flc, "deltas", refused)
+        outer = flc(and_fn(2), 1)
+        inners = [flc(identity_fn(), 2), flc(identity_fn(), 3)]
+        u = (pulse(0, 4), pulse(1, 5))
+        search = conditions.serial_search(outer, inners, u)
+        expected = translate(u[0], 3) & translate(u[1], 4)
+        assert [search(x) for x in (expected, constant(1), pulse(4, 9))] == [
+            (1, False), (0, False), (0, False)]
+
+    def test_chain_predicate_keeps_at_most_max_nodes_outer_predicates(self, monkeypatch):
+        # the predicate keeps the outer stage's predicate for each tuple it
+        # asked about, until it holds max_nodes of them
+        budget = SearchBudget(max_nodes=20)
+        monkeypatch.setattr(conditions, "DEFAULT_BUDGET", budget)
+        outer, inner, u, _ = _composition_gap()
+        chain = Serial(*_composed_bounds(outer, [inner]), outer, (inner,))
+        built, held = set(), []
+        real = LimitCondition.admits
+
+        def recording(self, v):
+            admits = real(self, v)
+            if self is outer:
+                built.add(tuple(v))
+                held.append(weakref.ref(admits))
+            return admits
+
+        monkeypatch.setattr(LimitCondition, "admits", recording)
+        lo, hi = chain.bounds(u, u)
+        rng = random.Random("outer-predicates")
+        admits = chain.admits(u)
+        for _ in range(50):
+            admits(_clamp(gen_signal(rng), lo, hi))
+        gc.collect()
+        assert len(built) > budget.max_nodes
+        assert sum(ref() is not None for ref in held) == budget.max_nodes
+
     def test_inner_envelopes_do_not_grow_with_the_rounds(self, monkeypatch):
         # the grid round filters thousands of candidates through one
         # membership predicate per stage, not one envelope computation each
@@ -325,15 +447,7 @@ class TestSerialDispatch:
         # the first pass and the grid round share one record of the
         # intermediate signals already put to the outer stage
         outer, inner, u, x = _composition_gap()
-        asked = []
-        real = type(outer).contains
-
-        def recording(self, v, y):
-            if self is outer:
-                asked.append(tuple(v))
-            return real(self, v, y)
-
-        monkeypatch.setattr(type(outer), "contains", recording)
+        asked = _record_outer_asks(monkeypatch, outer)
         assert serial_membership(outer, [inner], u, x) == (0, False)
         assert len(asked) > 100
         assert len(set(asked)) == len(asked)
@@ -384,20 +498,13 @@ class TestSerialDispatch:
 
     def test_deterministic_chain_rejects_in_one_round(self, monkeypatch):
         # every stage list is final, so the grid round would re-test the
-        # first pass's combinations: one outer contains per combination
+        # first pass's combinations: one outer ask per combination
         outer = flc(and_fn(2), 1)
         inners = [flc(identity_fn(), 2), flc(identity_fn(), 3)]
         u = (pulse(0, 4), pulse(1, 5))
-        calls = []
-        real = type(outer).contains
-
-        def counting(self, *args):
-            calls.append(self is outer)
-            return real(self, *args)
-
-        monkeypatch.setattr(type(outer), "contains", counting)
+        asked = _record_outer_asks(monkeypatch, outer)
         assert serial_membership(outer, inners, u, constant(1)) == (0, False)
-        assert sum(calls) == 1
+        assert len(asked) == 1
 
     def test_deterministic_chain_samples_in_one_round(self, monkeypatch):
         # every round of an all-deterministic chain gives the one output:

@@ -21,18 +21,19 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from oracles import dwell_dfs_oracle
 
 from siglim import (
     AicParams, BlcParams, SearchBudget, Signal, SiglimError, bailc, blc, breakpoints, constant, flc,
-    lc_join, lc_meet, pulse, serial, serial_membership, signal_leq, sol,
+    lc_join, lc_meet, pulse, serial, serial_membership, signal_leq, sol, values_along,
 )
 from siglim import props
 from siglim.boolfn import and_fn, identity_fn, or_fn
 from siglim.conditions import (
-    Serial, _clamp, _composed_bounds, _distinct_members, _grid_candidates, _grid_times,
+    Serial, _clamp, _composed_bounds, _distinct_members, _grid_candidates, _grid_times, _rng,
     serial_search,
 )
-from siglim.inertial import _dwell_grid
+from siglim.inertial import _dwell_draws, _dwell_grid
 from siglim.props import (
     _feasible_aic, _gen_overlap_params, _rat, gen_boolfn, gen_boolfn_pair_leq, gen_multisignal,
     gen_signal,
@@ -100,7 +101,56 @@ def test_dwell_grid_on_ticks_matches_the_fraction_grid(seed):
     # up to 60 breakpoints against 9 shifts each, so the 96-point cap binds
     lo, hi = (_signal(rng, rng.randint(0, 30), (1, 2, 4, 8)) for _ in range(2))
     a = AicParams(_time(rng, (1, 3, 7)), _time(rng, (1, 5, 9)))
-    assert _dwell_grid(lo, hi, a) == dwell_grid_oracle(lo, hi, a)
+    scale, ticks = _dwell_grid(lo, hi, a)
+    assert [F(t, scale) for t in ticks] == dwell_grid_oracle(lo, hi, a)
+
+
+def _dwell_case(seed):
+    """(lo, hi, a): ordered envelopes with up to 16 breakpoints and dwells."""
+    rng = random.Random(f"dwell-dfs:{seed}")
+    lo = _signal(rng, rng.randint(0, 8), (1, 2, 4))
+    hi = lo | _signal(rng, rng.randint(0, 8), (1, 2, 3))
+    return lo, hi, AicParams(_time(rng, (1, 2, 4), 2), _time(rng, (1, 3, 5), 2))
+
+
+# the small budgets cut the pass short before its witness or its end
+DWELL_NODES = (1, 3, 10, 30, 2000)
+
+
+def _dwell_answers(seed):
+    """(tick answer, Fraction oracle answer) for each budget and draw seed."""
+    lo, hi, a = _dwell_case(seed)
+    scale, ticks = _dwell_grid(lo, hi, a)
+    grid = [F(t, scale) for t in ticks]
+    bounds = values_along((lo, hi), [grid[0] - 1] + grid) if grid else []
+    out = []
+    for max_nodes in DWELL_NODES:
+        for draw_seed in range(4):
+            got = _dwell_draws(lo, hi, a, SearchBudget(max_nodes))(draw_seed)
+            if grid:
+                rng = _rng(draw_seed, "dwell") if draw_seed else None
+                want = dwell_dfs_oracle(grid, bounds, a.delta_r, a.delta_f, max_nodes, rng)
+            else:
+                want = Signal(lo.initial)
+            out.append((got, want))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tick_dwell_search_matches_the_fraction_oracle(seed):
+    for got, want in _dwell_answers(seed):
+        assert got == want
+
+
+def test_dwell_oracle_cases_find_witnesses_and_are_cut():
+    answers = [want for seed in range(40) for _, want in _dwell_answers(seed)]
+    per_case = len(DWELL_NODES) * 4
+    found = sum(x is not None for x in answers)
+    # a case with a witness at the full budget and none at a smaller one
+    cut = sum(any(x is None for x in answers[k:k + per_case])
+              and answers[k + per_case - 1] is not None
+              for k in range(0, len(answers), per_case))
+    assert found > 100 and cut > 10, (found, cut)
 
 
 def _prefilter_case(seed):
