@@ -66,7 +66,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for all witness searches; exceeding them is inconclusive, never wrong."""
+    """Caps for the serial witness search and the seeded samplers; exceeding
+    them is inconclusive, never wrong.  The exact dwell sweep needs none."""
 
     max_nodes: int = 2000
     samples: int = 6

@@ -66,7 +66,8 @@ class EmptyMeet(SiglimError):
 
 
 class EmptyBailc(SiglimError):
-    """Bounded-plus-inertial condition is empty for some input."""
+    """Bounded-plus-inertial condition is empty for some input: its closed
+    criterion fails, or the dwell sweep proves an input admits no output."""
 
 
 class UnknownTheorem(SiglimError):

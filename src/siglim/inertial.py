@@ -5,21 +5,23 @@ inputs.  An absolute inertial condition constrains the output alone: after a
 rise it must dwell at 1 strictly longer than delta_r before switching again,
 and symmetrically after a fall.  Combining the inertial constraint with a
 bounded condition gives the bounded-plus-inertial models, whose emptiness has
-a closed criterion checked here against an explicit witness search.
+a closed criterion.  Whether some signal between two envelopes respects the
+dwells is decided exactly by one sweep over a chain of difference
+constraints, with no search budget.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Callable
 
 from .boolfn import BoolFn, apply_fn
 from .bounded import Blc, BlcParams, _window_samples, blc_compose, blc_valid
-from .conditions import DEFAULT_BUDGET, LimitCondition, SearchBudget, SignalSet, _rng
+from .conditions import LimitCondition, SignalSet, _rng
 from .errors import EmptyBailc, InvalidBlc, NegativeDelay, PreconditionViolated
 from .signals import (
     Bit,
@@ -28,6 +30,7 @@ from .signals import (
     Time,
     _box_images,
     _image,
+    _on_lattice,
     _ticks,
     as_time,
     make_signal,
@@ -185,138 +188,108 @@ def bailc_nonempty(f: BoolFn, g: BoolFn, p: BlcParams, a: AicParams) -> Bit:
     )
 
 
-def _dwell_dfs(
-    scale: int, grid: list[int], bounds: list[tuple[Bit, Bit]], limits: tuple[int, int],
-    max_nodes: int, rng: random.Random | None,
-) -> Signal | None:
-    """Depth-first construction of a signal between two envelopes respecting
-    dwells, on integer ticks of the lattice 1/scale.
+class _DwellSweep:
+    """The signals between two envelopes that respect the dwell times a.
 
-    Cells are the pieces cut by the non-empty grid of ticks; edges may only
-    sit on grid points, which include every envelope breakpoint, so the
-    envelopes are constant per cell, and bounds holds their values on each
-    cell.  limits[v] is the dwell, in ticks, that a run of the value v must
-    exceed before the next edge: delta_f for 0, delta_r for 1.  At most
-    max_nodes nodes are visited.  Free cells prefer keeping the current value, which
-    finds witnesses with the fewest switches first; rng, when given, is
-    drawn once per inner node and reverses that order a quarter of the time.
+    Where lo is 1 the output is forced to 1, and where hi is 0 to 0.  If
+    any member exists, one exists that keeps its value between forced pieces
+    of one value and switches once between pieces of opposite values, since
+    dropping a pair of edges only merges runs.  Its edges form a chain of
+    difference constraints: edge j lies in the span from the end of one
+    forced piece to the start of the next, and more than a dwell after edge
+    j - 1.  On the lattice of the envelopes and dwells refined by (edges +
+    1), that strict bound is one extra tick, and a forward and a backward
+    pass give each edge its earliest and latest tick exactly; early is None
+    when no member exists.  Runs before the first edge and after the last
+    are unbounded, as in `aic_violation`.
     """
-    n = len(bounds)
-    left = max_nodes
-    edges: list[int] = []
 
-    def rec(idx: int, value: Bit, last_edge: int | None) -> Signal | None:
-        nonlocal left
-        left -= 1
-        if left < 0:
-            return None
-        if idx == n:
-            return Signal._on(value ^ (len(edges) & 1), scale, tuple(edges))
-        choices = [value, 1 - value] if idx else [0, 1]
-        if rng is not None and rng.random() < 0.25:
-            choices.reverse()
-        lo_v, hi_v = bounds[idx]
-        for v in choices:
-            if v < lo_v or v > hi_v:
+    def __init__(self, lo: Signal, hi: Signal, a: AicParams) -> None:
+        self.lo, self.hi = lo, hi
+        self.early: list[int] | None = None
+        if not signal_leq(lo, hi):
+            return
+        scale = lcm(lo.scale, hi.scale, a.delta_r.denominator, a.delta_f.denominator)
+        ticks = _ticks((lo, hi), scale)
+        envs = [_on_lattice(s, scale) for s in (lo, hi)]
+        spans: list[tuple[int, int]] = []
+        first = end = None
+        for start, stop in zip([None, *ticks], [*ticks, None]):
+            lv, hv = (v if start is None else v ^ (bisect_right(ts, start) & 1) for v, ts in envs)
+            if lv != hv:  # free piece
                 continue
-            if idx == 0 or v == value:
-                out = rec(idx + 1, v, last_edge)
-            else:
-                t = grid[idx - 1]
-                if last_edge is not None and t - last_edge <= limits[value]:
-                    continue
-                edges.append(t)
-                out = rec(idx + 1, v, t)
-                if out is None:
-                    edges.pop()
-            if out is not None:
-                return out
-        return None
+            if first is None:
+                first = lv
+            elif lv != first ^ (len(spans) & 1):
+                spans.append((end, start))
+            end = stop
+        n = len(spans) + 1
+        # with no forced piece, the constant 0 is a member
+        self.first, self.scale = first or 0, scale * n
+        # limits[v]: the longest run of the value v that breaks its dwell
+        self.limits = (a.delta_f.numerator * self.scale // a.delta_f.denominator,
+                       a.delta_r.numerator * self.scale // a.delta_r.denominator)
+        early: list[int] = []
+        for j, (lo_t, hi_t) in enumerate(spans):
+            t = self._after(early, self.first ^ j & 1, lo_t * n)
+            if t > hi_t * n:
+                return
+            early.append(t)
+        late = [hi_t * n for _, hi_t in spans]
+        for j in range(len(late) - 2, -1, -1):
+            late[j] = min(late[j], late[j + 1] - self.limits[self.first ^ (j + 1) & 1] - 1)
+        self.early, self.late = early, late
 
-    return rec(0, 0, None)
+    def _after(self, edges: list[int], v: Bit, t: int) -> int:
+        """The first tick from t on that the dwell allows the next edge
+        after edges, whose last starts a run of the value v."""
+        return max(t, edges[-1] + self.limits[v] + 1) if edges else t
+
+    def draw(self, seed: int) -> Signal | None:
+        """A member with every edge at its earliest tick for seed 0, and with
+        each edge drawn between the first tick its predecessor allows and
+        its latest tick otherwise; None when there is no member."""
+        if self.early is None:
+            return None
+        edges = self.early
+        if seed:
+            rng, edges = _rng(seed, "dwell"), []
+            for j, (t, late) in enumerate(zip(self.early, self.late)):
+                edges.append(rng.randint(self._after(edges, self.first ^ j & 1, t), late))
+        return Signal._on(self.first, self.scale, tuple(edges))
+
+    def track(self, s: Signal) -> Signal | None:
+        """s with each edge that comes too early for the dwell delayed to
+        the first tick the dwell allows, if that lies between lo and hi."""
+        if self.early is None:
+            return None
+        v, ticks = _on_lattice(s, self.scale)
+        edges: list[int] = []
+        for t in ticks:
+            edges.append(self._after(edges, v ^ len(edges) & 1, t))
+        x = Signal._on(v, self.scale, tuple(edges))
+        return x if signal_between(self.lo, x, self.hi) else None
 
 
-def _dwell_grid(lo: Signal, hi: Signal, a: AicParams) -> tuple[int, list[int]]:
-    """(scale, ticks): the envelope breakpoints and the earliest of their
-    dwell shifts, 96 points in all at most, as ascending ticks on the
-    lattice 1/scale, which holds both envelopes and both dwells."""
-    # envelope breakpoints are mandatory: cells must see lo and hi constant;
-    # only the dwell shifts may be capped
-    scale = lcm(lo.scale, hi.scale, a.delta_r.denominator, a.delta_f.denominator)
-    r, f = (d.numerator * (scale // d.denominator) for d in (a.delta_r, a.delta_f))
-    base = _ticks((lo, hi), scale)
-    extras: set[int] = set()
-    for s in {i * r + j * f for i in range(4) for j in range(4) if 0 < i + j <= 3}:
-        extras.update([t + s for t in base])
-    extras.difference_update(base)
-    room = max(0, 96 - len(base))
-    return scale, sorted(base + sorted(extras)[:room])
+def search_between(lo: Signal, hi: Signal, a: AicParams, seed: int = 0) -> Signal | None:
+    """A signal between two envelopes that respects the dwell times a, or
+    None when there is none.
 
-
-def _dwell_draws(
-    lo: Signal, hi: Signal, a: AicParams, budget: SearchBudget | None = None,
-) -> Callable[[int], Signal | None]:
-    """Seeded draws of the dwell search between two envelopes.
-
-    The per-envelope work is done here, once: the order check, the grid of
-    envelope breakpoints plus dwell shifts as ticks, the dwells in ticks,
-    and the envelopes' values on its cells, read by bisecting each
-    envelope's ticks at each grid point.  Each draw `draw(seed)` runs one
-    depth-first pass on them within budget.max_nodes, with int comparisons
-    only, taking choices in order for seed 0 and shuffled by the seed
-    otherwise, and checks its witness.
+    The answer is exact and needs no budget: one `_DwellSweep` decides it.
+    Seed 0 puts every edge at its earliest tick; other seeds draw each edge
+    inside its span.
     """
-    max_nodes = (budget or DEFAULT_BUDGET).max_nodes
-    if not signal_leq(lo, hi):
-        return lambda seed: None
-    scale, grid = _dwell_grid(lo, hi, a)
-    limits = (a.delta_f.numerator * scale // a.delta_f.denominator,
-              a.delta_r.numerator * scale // a.delta_r.denominator)
-    # one cell before the first grid point, then one from each point on
-    envs = []
-    for s in (lo, hi):
-        k = scale // s.scale
-        ticks = [t * k for t in s.ticks]
-        envs.append([s.initial] + [s.initial ^ (bisect_right(ticks, t) & 1) for t in grid])
-    bounds = list(zip(*envs))
-
-    def draw(seed: int) -> Signal | None:
-        if grid:
-            rng = _rng(seed, "dwell") if seed else None
-            x = _dwell_dfs(scale, grid, bounds, limits, max_nodes, rng)
-        else:  # constant envelopes: the constant lo is a witness
-            x = Signal(lo.initial)
-        if x is None or signal_between(lo, x, hi) and aic_contains(x, a):
-            return x
-        raise AssertionError("witness construction produced an invalid signal")
-
-    return draw
-
-
-def search_between(
-    lo: Signal, hi: Signal, a: AicParams,
-    budget: SearchBudget | None = None, seed: int = 0,
-) -> Signal | None:
-    """Find a signal between two envelopes that respects the dwell times.
-
-    One depth-first pass places edges on the grid of envelope breakpoints
-    plus dwell shifts, within budget.max_nodes.  A None is therefore not a
-    proof: the grid or the node budget may have cut the search short.  This
-    is one draw of `_dwell_draws`, which builds the grid for the envelope
-    pair; callers drawing several witnesses between the same envelopes
-    (`Bailc` sampling) build it once and draw from it.
-    """
-    return _dwell_draws(lo, hi, a, budget)(seed)
+    return _DwellSweep(lo, hi, a).draw(seed)
 
 
 @dataclass(frozen=True, eq=False)
 class Bailc(Blc):
     """Bounded limit condition intersected with the inertial dwell constraint.
 
-    Witnesses beyond the window samples come from seeded draws of the dwell
-    search under the default search budget; the per-input work of those
-    draws (the envelopes, the dwell grid and the envelopes' values on it) is
-    done once per `sample` call.
+    Witnesses beyond the window samples are lo and hi with their early
+    edges delayed for the dwell, then seeded draws of one `_DwellSweep`
+    over the envelopes, so a sample call that finds none has proved that
+    no output is admitted.
     """
 
     aic: AicParams
@@ -340,16 +313,15 @@ class Bailc(Blc):
         out = dict.fromkeys(x for x in _window_samples(lo, hi, count + 2, seed)
                             if aic_contains(x, self.aic))
         if len(out) < count:
-            draw = _dwell_draws(lo, hi, self.aic)
-            for s in range(count + 4):
-                x = draw(seed + s)
-                if x is None:
-                    break
-                out[x] = None
+            sweep = _DwellSweep(lo, hi, self.aic)
+            draws = (sweep.draw(seed + s) for s in range(count + 4))
+            for x in chain((sweep.track(lo), sweep.track(hi)), draws):
+                if x is not None:
+                    out[x] = None
                 if len(out) >= count:
                     break
         if not out:
-            raise EmptyBailc("no inertial witness found for this input within budget")
+            raise EmptyBailc("the dwell sweep proved that no output is admitted for this input")
         return list(out)[:count]
 
 

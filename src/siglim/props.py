@@ -759,7 +759,7 @@ def _chk_6_4(rng: random.Random) -> str | None:
         if bailc_nonempty(f, g, p, a) != 1:
             return f"criterion rejected a feasible instance: p={p} a={a}"
         u = gen_multisignal(m, rng, 6)
-        x = search_between(*envelopes(f, g, p, u), a, CHECK_BUDGET, rng.randint(0, 1 << 20))
+        x = search_between(*envelopes(f, g, p, u), a, rng.randint(0, 1 << 20))
         if x is None:
             return f"criterion true but search failed: f={f.bits()} g={g.bits()} p={p} a={a} u={u!r}"
     else:
@@ -776,7 +776,7 @@ def _chk_6_4(rng: random.Random) -> str | None:
         u = _square_wave_input(f, g, p, a)
         if u is None:
             return f"no forcing input constructed for p={p} a={a}"
-        x = search_between(*envelopes(f, g, p, u), a, CHECK_BUDGET, 0)
+        x = search_between(*envelopes(f, g, p, u), a)
         if x is not None:
             return (f"criterion false but search produced a witness: "
                     f"f={f.bits()} g={g.bits()} p={p} a={a} x={x!r}")

@@ -118,7 +118,9 @@ def aic_bit(x: Signal, delta_r: Fraction, delta_f: Fraction) -> int:
 
 def dwell_dfs_oracle(grid: list[Fraction], bounds: list[tuple[int, int]],
                      delta_r: Fraction, delta_f: Fraction, max_nodes: int, rng) -> Signal | None:
-    """The dwell search's depth-first pass on Fraction times.
+    """The budgeted depth-first dwell search the exact sweep replaced, on
+    Fraction times: a one-way oracle, since every witness it finds proves
+    that a member exists.
 
     Cells are the pieces cut by grid, and bounds holds the envelopes'
     values on each; an edge may sit only on a grid point, and must end a

@@ -14,7 +14,6 @@ from siglim import (
     AicParams,
     ArityMismatch,
     BlcParams,
-    EmptyBailc,
     EmptyMeet,
     PreconditionViolated,
     SearchBudget,
@@ -241,9 +240,9 @@ def _record_outer_asks(monkeypatch, outer):
     return asked
 
 
-def _dry_sampler():
-    """(i, u): a dwell stage whose seeded sampler finds no witness for u,
-    though i admits outputs for u."""
+def _dfs_dry_bailc():
+    """(i, u): a dwell stage for whose input u the dwell DFS, at seeds 0-5,
+    found no witness, though i admits outputs for u."""
     i = bailc(not_fn(), not_fn(), params(1, F(7, 5), 1, F(12, 5)), aic_params(F(1, 8), F(3, 8)))
     edges = [F(-13, 2), F(-19, 3), F(-33, 8), -4, -3, F(-8, 3), 0, F(7, 3), F(7, 2), F(19, 5),
              F(21, 5), F(37, 8), F(20, 3), F(19, 2), F(99, 5), F(167, 8), F(149, 7),
@@ -252,8 +251,22 @@ def _dry_sampler():
     y = make_signal(0, [(F(7, 5), 1), (3, 0), (F(121, 15), 1), (10, 0), (F(106, 5), 1),
                         (22, 0), (F(879, 35), 1)])
     assert i.contains(u, y) == 1
+    return i, u
+
+
+def _dry_sampler():
+    """(i, u): a meet whose parts share no output for u, so that its
+    sampler raises; for pulse(0, 3) it admits several outputs.
+
+    The first part's rises come 0 to 4 after the input's, the second's 5 to
+    6 after; a pulse longer than 4, such as u, forces the first part's
+    output up before the second's may rise, and a shorter one forces
+    neither."""
+    i = lc_meet(blc(identity_fn(), identity_fn(), params(4, 4, 8, 8)),
+                blc(identity_fn(), identity_fn(), params(1, 6, 1, 6)))
+    u = (pulse(0, 5),)
     for s in range(3):
-        with pytest.raises(EmptyBailc):
+        with pytest.raises(EmptyMeet):
             i.sample(u, DEFAULT_BUDGET.samples, s)
     return i, u
 
@@ -286,8 +299,8 @@ class TestSerialDispatch:
         assert chain.membership(u, x)[0] == 0
 
     def test_search_samples_each_stage_once(self, monkeypatch):
-        # the inner stage's five seeded dwell draws run once per search, and
-        # all five share the one dwell grid its sample call builds
+        # the inner stage is sampled once per search, and its draws share
+        # the one dwell sweep its sample call builds
         outer, inner, u, x = _composition_gap()
         calls = []
 
@@ -300,12 +313,11 @@ class TestSerialDispatch:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counting(inertial, "_dwell_dfs")
-        counting(inertial, "_dwell_grid")
+        counting(inertial, "_DwellSweep")
         counting(inertial.Bailc, "_sample")
         serial_membership(outer, [inner], u, x)
         counts = {name: calls.count(name) for name in set(calls)}
-        assert counts == {"_dwell_dfs": 5, "_dwell_grid": 1, "_sample": 1}
+        assert counts == {"_DwellSweep": 1, "_sample": 1}
 
     def test_law_3_12_builds_one_search_per_chain(self, monkeypatch):
         # every output of a case shares the input, so each chain's
@@ -467,8 +479,8 @@ class TestSerialDispatch:
         assert serial_membership(outer, [inner], u, translate(lo, 1)) == (1, False)
 
     def test_dry_stage_sampler_leaves_the_other_candidates(self):
-        # the stage's samples are empty, not an error: u settles to 0, so
-        # every intermediate signal and every output settle to 1
+        # the stage's samples are empty, not an error, and the search still
+        # decides that no intermediate signal exists
         i, u = _dry_sampler()
         chain = serial(blc(identity_fn(), identity_fn(), params(0, 1, 0, 1)), [i])
         assert chain.kind == "serial"
@@ -602,6 +614,15 @@ class TestBehaviouralChecks:
         i, u = _dry_sampler()
         assert check_deterministic(i, [u]) == 1
         assert check_deterministic(i, [u, (pulse(0, 3),)]) == 0
+
+    def test_dwell_sampler_finds_the_outputs_the_dfs_missed(self):
+        # the dwell sweep is exact, so a sampler that raises has proved the
+        # stage empty for u, and this stage is not
+        i, u = _dfs_dry_bailc()
+        admits = i.admits(u)
+        for s in range(3):
+            xs = i.sample(u, DEFAULT_BUDGET.samples, s)
+            assert xs and all(admits(x) for x in xs)
 
     @given(signals(6), st.integers(-3, 3))
     @settings(max_examples=30)

@@ -3,19 +3,22 @@
 `_window_samples` builds each seeded signal as ticks and clamps it in one
 walk; the version below builds it with `make_signal` on Fractions and clamps
 it with two `combine` walks, and both must return the same list.  `Bailc`
-sampling draws from one dwell grid per call; the loop below runs one full
-`search_between` per seed, and both must return the same members.
+sampling tracks the envelopes and draws from one dwell sweep per call; the
+loop below tracks them on Fractions and runs one full `search_between` per
+seed, and both must return the same members.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from siglim import (
     EmptyBailc, Signal, aic_contains, bailc, breakpoints, make_signal, search_between,
+    signal_between,
 )
 from siglim.boolfn import and_fn, identity_fn, or_fn, xor_fn
 from siglim.bounded import _window_samples
@@ -37,19 +40,40 @@ def window_samples_oracle(lo, hi, count, seed):
     return list(dict.fromkeys(out))[: max(count, 1)]
 
 
+def track_oracle(s, lo, hi, a, tick):
+    """s with each edge that comes no later than its dwell after the one
+    before moved to one tick past that dwell, if that lies between lo and
+    hi."""
+    pairs = []
+    for t, v in s.transitions:
+        if pairs:
+            last, w = pairs[-1]
+            t = max(t, last + (a.delta_r if w else a.delta_f) + tick)
+        pairs.append((t, v))
+    x = Signal(s.initial, pairs)
+    return x if signal_between(lo, x, hi) else None
+
+
 def bailc_sample_oracle(model, u, count, seed):
-    """The window samples that keep the dwell, then one `search_between`
-    per seed until count members are found or a search finds none."""
+    """The window samples that keep the dwell, then lo and hi tracked on the
+    tick of the earliest witness's lattice (that of the envelopes and
+    dwells, refined by its edges + 1), then one `search_between` per seed,
+    until count members are found."""
     lo, hi = model.envelopes(u)
+    a = model.aic
     out = dict.fromkeys(x for x in window_samples_oracle(lo, hi, count + 2, seed)
-                        if aic_contains(x, model.aic))
-    s = 0
-    while len(out) < count and s < count + 4:
-        x = search_between(lo, hi, model.aic, seed=seed + s)
-        if x is None:
-            break
-        out[x] = None
-        s += 1
+                        if aic_contains(x, a))
+    first = search_between(lo, hi, a)
+    if len(out) < count and first is not None:
+        scale = lcm(lo.scale, hi.scale, a.delta_r.denominator, a.delta_f.denominator)
+        tick = F(1, scale * (len(first.transitions) + 1))
+        candidates = [track_oracle(lo, lo, hi, a, tick), track_oracle(hi, lo, hi, a, tick)]
+        candidates += [search_between(lo, hi, a, seed=seed + s) for s in range(count + 4)]
+        for x in candidates:
+            if len(out) >= count:
+                break
+            if x is not None:
+                out[x] = None
     if not out:
         raise EmptyBailc("no inertial witness")
     return list(out)[:count]
