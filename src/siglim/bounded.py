@@ -132,30 +132,36 @@ class Blc(LimitCondition):
 
 
 def _window_samples(lo: Signal, hi: Signal, count: int, seed: int) -> list[Signal]:
-    """The envelopes lo and hi, then seeded signals clamped between them.
+    """The first max(count, 1) distinct of lo, hi and count seeded signals
+    clamped between them.
 
     Each seeded signal x switches at up to 4 of the envelopes' merged
     transition times (time 0 when there are none), dropping the picks that
     repeat its current value.  Its clamp `lo | (x & hi)` is lo where x is 0
     and `lo | hi` where x is 1, so it is spliced from slices of those two,
-    cut at x's edges.  The merged times and `lo | hi` are built once per
-    call, for all the draws.
+    cut at x's edges.  Draws stop once the answer is in hand (the rng is
+    the call's own), and the merged times and `lo | hi` are built on the
+    first draw, for all of them.
     """
-    out = [lo, hi]
-    rng = _rng(seed, "blc")
-    scale, ticks, sources = _clamp_base(lo, hi)
-    ticks = ticks or [0]
-    n = len(ticks)
-    while len(out) < count + 2:
-        picks = sorted(rng.sample(range(n), rng.randint(0, min(4, n))))
-        v = initial = rng.randint(0, 1)
-        edges = []
-        for k in picks:
-            if rng.randint(0, 1) != v:
-                edges.append(ticks[k])
-                v ^= 1
-        out.append(_splice(initial, edges, sources, scale))
-    return list(dict.fromkeys(out))[: max(count, 1)]
+    need = max(count, 1)
+    out = dict.fromkeys((lo, hi))
+    if len(out) < need:
+        rng = _rng(seed, "blc")
+        scale, ticks, sources = _clamp_base(lo, hi)
+        ticks = ticks or [0]
+        n = len(ticks)
+        for _ in range(count):
+            picks = sorted(rng.sample(range(n), rng.randint(0, min(4, n))))
+            v = initial = rng.randint(0, 1)
+            edges = []
+            for k in picks:
+                if rng.randint(0, 1) != v:
+                    edges.append(ticks[k])
+                    v ^= 1
+            out[_splice(initial, edges, sources, scale)] = None
+            if len(out) >= need:
+                break
+    return list(out)[:need]
 
 
 def blc(f: BoolFn, g: BoolFn, p: BlcParams) -> Blc:

@@ -225,18 +225,19 @@ class LimitCondition(ABC):
             return []
 
 
-def _finite_within(
+def _finite_lists(
     model: LimitCondition, parts: Sequence[LimitCondition], u: MultiSignal, seed: int
-) -> list[Signal] | None:
-    """Members of model among its parts' finite output lists, if all have one."""
-    outs: list[Signal] = []
+) -> list[list[Signal]] | None:
+    """The parts' finite output lists, if all have one: each is all its
+    part admits, so the model reads its own list off them."""
+    lists = []
     for part in parts:
         sub = part.finite_outputs(u, seed)
         if sub is None:
             return None
-        outs += sub
-    admits = model.admits(u)
-    return [y for y in outs if admits(y)]
+        lists.append(sub)
+    model._check_input(u)
+    return lists
 
 
 def _sol_admits(f: BoolFn, g: BoolFn, u: MultiSignal) -> Callable[[Signal], Bit]:
@@ -369,7 +370,12 @@ class Meet(LimitCondition):
         return set().union(*(part.deltas() for part in self.parts))
 
     def finite_outputs(self, u: MultiSignal, seed: int) -> list[Signal] | None:
-        return _finite_within(self, self.parts, u, seed)
+        lists = _finite_lists(self, self.parts, u, seed)
+        if lists is None:
+            return None
+        held, v = [set(sub) for sub in lists], self.within
+        return [y for sub in lists for y in sub
+                if all(y in h for h in held) and (v is None or v.contains(y))]
 
 
 def lc_meet(i: LimitCondition, j: LimitCondition) -> Meet:
@@ -411,7 +417,8 @@ class Join(LimitCondition):
         return set().union(*(part.deltas() for part in self.parts))
 
     def finite_outputs(self, u: MultiSignal, seed: int) -> list[Signal] | None:
-        return _finite_within(self, self.parts, u, seed)
+        lists = _finite_lists(self, self.parts, u, seed)
+        return None if lists is None else [y for sub in lists for y in sub]
 
 
 def lc_join(i: LimitCondition, j: LimitCondition) -> Join:
@@ -449,7 +456,8 @@ class Restrict(LimitCondition):
         return self.base.sample(u, count, seed)
 
     def finite_outputs(self, u: MultiSignal, seed: int) -> list[Signal] | None:
-        return _finite_within(self, (self.base,), u, seed)
+        lists = _finite_lists(self, (self.base,), u, seed)
+        return lists and (lists[0] if self._in_domain(u) else [])
 
 
 def lc_restrict(i: LimitCondition, sets: Sequence[SignalSet]) -> Restrict:

@@ -286,6 +286,8 @@ def search_between(lo: Signal, hi: Signal, a: AicParams, seed: int = 0) -> Signa
 class Bailc(Blc):
     """Bounded limit condition intersected with the inertial dwell constraint.
 
+    Membership reads the dwell first, on x alone, so an output that breaks
+    it costs no work on the input; the envelopes wait for one that keeps it.
     Witnesses beyond the window samples are lo and hi with their early
     edges delayed for the dwell, then seeded draws of one `_DwellSweep`
     over the envelopes, so a sample call that finds none has proved that
@@ -305,8 +307,16 @@ class Bailc(Blc):
         return super().deltas() | {self.aic.delta_r, self.aic.delta_f}
 
     def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
-        within, a = super()._admits(u), self.aic
-        return lambda x: within(x) & aic_contains(x, a)
+        a, within = self.aic, None
+
+        def admits(x: Signal) -> Bit:
+            nonlocal within
+            if not aic_contains(x, a):
+                return 0
+            within = within or Blc._admits(self, u)
+            return within(x)
+
+        return admits
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         lo, hi = self.envelopes(u)

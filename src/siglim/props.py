@@ -98,6 +98,7 @@ ORACLE_BUDGET = SearchBudget(max_nodes=160, samples=10)
 MAX_TRANSITIONS = 12
 MAX_DENOMINATOR = 8
 MAX_DRAW_ARITY = 3
+_DRAW_SCALE = 840  # lcm(1, ..., MAX_DENOMINATOR): every drawn time is on its ticks
 
 
 @dataclass(frozen=True)
@@ -132,17 +133,13 @@ def _rat(rng: random.Random, lo: int, hi: int) -> Fraction:
 
 
 def gen_signal(rng: random.Random, max_transitions: int = MAX_TRANSITIONS) -> Signal:
+    """Times drawn by `_rat(rng, -8, 24)`'s rng calls, kept as ticks."""
     n = rng.randint(0, max_transitions)
-    times: set[Fraction] = set()
-    while len(times) < n:
-        times.add(_rat(rng, -8, 24))
-    initial = rng.randint(0, 1)
-    v = initial
-    pairs = []
-    for t in sorted(times):
-        v = 1 - v
-        pairs.append((t, v))
-    return Signal(initial, tuple(pairs))
+    ticks: set[int] = set()
+    while len(ticks) < n:
+        q = rng.randint(1, MAX_DENOMINATOR)
+        ticks.add(rng.randint(-8 * q, 24 * q) * (_DRAW_SCALE // q))
+    return Signal._on(rng.randint(0, 1), _DRAW_SCALE, tuple(sorted(ticks)))
 
 
 def gen_multisignal(

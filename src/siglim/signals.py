@@ -481,7 +481,8 @@ def _clamp_base(
     """(scale, ticks, sources) for clamping signals into lo | (x & hi) with
     `_splice`: the envelopes' lattice, their merged transition ticks on it,
     and lo and lo | hi as `_splice` sources there, the clamp's values where
-    x is 0 and where it is 1."""
+    x is 0 and where it is 1.  The `lo | hi` walk is the cost, so callers
+    build this only when they draw."""
     scale = _lattice((lo, hi))
     sources = (_on_lattice(lo, scale), _on_lattice(combine(_OR, lo, hi), scale))
     return scale, _ticks((lo, hi), scale), sources
@@ -534,30 +535,28 @@ def window_any(x: Signal, d: Time | int, m: Time | int) -> Signal:
 def _shrink(x: Signal, d: Time, m: Time, b: Bit) -> Signal:
     """x retarded by d with every b-run shortened by m, in one pass.
 
-    Edges into b move by d and edges out of b by d - m; a b-run no longer
-    than m vanishes together with its two edges.  d may be negative, and
-    0 <= m <= d is not checked.  With b = 1 this is the windowed
+    Each b-run is a (start, end) pair from two slices of x's ticks: its
+    start moves by d, its end by d - m, and it is kept only if longer than
+    m; a b-run unbounded on either side is always kept.  d may be negative,
+    and 0 <= m <= d is not checked.  With b = 1 this is the windowed
     conjunction: a maximal 1-run [s, e) contains the closed window
     [t-d, t-d+m] iff s + d <= t < e + d - m, so each 1-run shifts by d and
     loses m at its end.  With b = 0 it is the windowed disjunction, the same
     erosion of the 0-runs.
     """
     scale = lcm(x.scale, d.denominator, m.denominator)
-    f = scale // x.scale
     d_in = d.numerator * (scale // d.denominator)
-    d_out = d_in - m.numerator * (scale // m.denominator)
-    out: list[int] = []
-    into = x.initial != b
-    for t in x.ticks:
-        if into:
-            out.append(t * f + d_in)
-        else:
-            t = t * f + d_out
-            if out and out[-1] >= t:
-                out.pop()
-            else:
-                out.append(t)
-        into = not into
+    w = m.numerator * (scale // m.denominator)
+    d_out = d_in - w
+    _, ticks = _on_lattice(x, scale)
+    k = int(x.initial == b)  # 1: the first run is a b-run ending at ticks[0]
+    starts, ends = ticks[k::2], ticks[k + 1::2]
+    out = [ticks[0] + d_out] if k and ticks else []
+    for s, e in zip(starts, ends):
+        if e - s > w:
+            out += (s + d_in, e + d_out)
+    if len(starts) > len(ends):
+        out.append(starts[-1] + d_in)
     return Signal._on(x.initial, scale, tuple(out))
 
 

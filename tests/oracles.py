@@ -163,3 +163,40 @@ def dwell_dfs_oracle(grid: list[Fraction], bounds: list[tuple[int, int]],
         return None
 
     return rec(0, 0, None, [])
+
+
+def shrink_oracle(x: Signal, d: Fraction, m: Fraction, b: int) -> Signal:
+    """x retarded by d with every b-run shortened by m, by a per-tick loop:
+    an edge into b moves by d and is kept; an edge out of b moves by d - m,
+    and when it does not come after the kept edge before it, it removes
+    that edge instead, so a b-run no longer than m vanishes."""
+    scale = lcm_many([x.scale, d.denominator, m.denominator])
+    f = scale // x.scale
+    d_in = d.numerator * (scale // d.denominator)
+    d_out = d_in - m.numerator * (scale // m.denominator)
+    out: list[int] = []
+    into = x.initial != b
+    for t in x.ticks:
+        if into:
+            out.append(t * f + d_in)
+        else:
+            t = t * f + d_out
+            if out and out[-1] >= t:
+                out.pop()
+            else:
+                out.append(t)
+        into = not into
+    return Signal._on(x.initial, scale, tuple(out))
+
+
+def finite_within_oracle(model, parts, u, seed):
+    """A meet's, join's or restriction's finite outputs, as its parts' lists
+    concatenated and filtered through the model's membership predicate."""
+    outs = []
+    for part in parts:
+        sub = part.finite_outputs(u, seed)
+        if sub is None:
+            return None
+        outs += sub
+    admits = model.admits(u)
+    return [y for y in outs if admits(y)]

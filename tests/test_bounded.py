@@ -143,27 +143,57 @@ class TestSweepCount:
                             upper_envelope(or_fn(2), u, i.params))
 
     def test_membership_takes_one_walk_per_output(self, swept):
+        # bailc reads the dwell first: an output that breaks it takes no
+        # walk, and the first that keeps it takes the envelope walk as well
+        # as its own; blc builds its envelopes with the predicate
         u = self.inputs()
-        for i in (blc(and_fn(2), or_fn(2), params(F(1, 2), 2, F(1, 2), 2)),
-                  bailc(and_fn(2), or_fn(2), params(F(1, 2), 2, F(1, 2), 2), aic_params(F(1, 4), F(1, 4)))):
+        p = params(F(1, 2), 2, F(1, 2), 2)
+        for i in (blc(and_fn(2), or_fn(2), p),
+                  bailc(and_fn(2), or_fn(2), p, aic_params(F(1, 4), F(1, 4)))):
             lo, hi = i.envelopes(u)
-            admits = i.admits(u)
             assert hi != constant(1)
+            swept.clear()
+            admits = i.admits(u)
+            built = len(swept)
+            broken = pulse(0, F(1, 4))  # a 1-run exactly the dwell long
+            assert admits(broken) == 0
+            assert len(swept) == built + (i.kind == "blc")
             outputs = [lo, hi, constant(0), constant(1), lo | ~hi]
             swept.clear()
             bits = [admits(x) for x in outputs]
-            assert len(swept) == len(outputs)
+            assert len(swept) == len(outputs) + (i.kind == "bailc")
             assert bits[0] == 1 and bits[2:] == [0, 0, 0]
+
+    def test_bailc_outputs_breaking_the_dwell_take_no_walk(self, swept):
+        u = self.inputs()
+        i = bailc(and_fn(2), or_fn(2), params(F(1, 2), 2, F(1, 2), 2), aic_params(F(1, 4), F(1, 4)))
+        lo, hi = i.envelopes(u)
+        # lo is 0 until 7/3 and hi 1 from 3/2 to 5, so each has a run of 1/8
+        broken = [lo | pulse(F(1, 8), F(1, 4)), hi & ~pulse(F(2), F(17, 8)), ~pulse(0, F(1, 8))]
+        swept.clear()
+        admits = i.admits(u)
+        assert [admits(x) for x in broken] == [0, 0, 0]
+        assert swept == []
+        assert i.contains(u, lo) == 1
 
     @pytest.mark.parametrize("count", [1, 3, 8])
     def test_window_samples_take_two_walks(self, swept, count):
-        # the envelopes, then lo | hi; every draw is clamped by slicing
+        # the envelopes, then lo | hi once for every draw, each clamped by
+        # slicing; count 1 returns lo and draws nothing
         u = self.inputs()
         i = blc(and_fn(2), or_fn(2), params(1, 2, 1, 2))
         xs = i.sample(u, count, 5)
-        assert len(swept) == 2
+        assert len(swept) == (1 if count == 1 else 2)
         assert len(xs) == count
         assert all(i.contains(u, x) == 1 for x in xs)
+
+    def test_two_samples_are_the_envelopes_after_one_walk(self, swept):
+        u = self.inputs()
+        i = blc(and_fn(2), or_fn(2), params(1, 2, 1, 2))
+        for seed in (0, 5, 99):
+            swept.clear()
+            assert i.sample(u, 2, seed) == list(i.envelopes(u))
+            assert len(swept) == 2  # one to sample, one for the check's envelopes
 
 
 class TestValidity:

@@ -60,6 +60,7 @@ from siglim.conditions import DEFAULT_BUDGET, LimitCondition, Serial, _clamp, _c
 from siglim.errors import BlockArityMismatch
 from siglim.inertial import Flc
 from siglim.props import gen_signal
+from oracles import finite_within_oracle
 from strategies import boolfn_pairs_leq, multisignals, signals
 
 F = Fraction
@@ -174,6 +175,32 @@ class TestMeetJoinRestrict:
             part.sample(outside, 1, 0)
         with pytest.raises(ArityMismatch):
             lc_restrict(mc(2), [gate])
+
+    def test_finite_outputs_of_law_3_12_match_the_membership_filter(self, monkeypatch):
+        # the inner meets and joins of law 3.12, cases 0-249 at seed 42: the
+        # list read off the parts' lists is the parts' outputs filtered
+        # through the model's predicate
+        checked = Counter()
+        for cls in (conditions.Meet, conditions.Join):
+            def finite_outputs(self, u, seed, real=cls.finite_outputs):
+                got = real(self, u, seed)
+                assert got == finite_within_oracle(self, self.parts, u, seed)
+                checked[self.kind, bool(got)] += 1
+                return got
+
+            monkeypatch.setattr(cls, "finite_outputs", finite_outputs)
+        _, check = props._REGISTRY["3.12"]
+        for case in range(250):
+            check(random.Random(f"42:3.12:{case}"))
+        assert checked["meet", False] and checked["meet", True] and checked["join", True]
+
+    def test_finite_outputs_of_a_restriction_are_its_base_on_the_domain(self):
+        i = flc(identity_fn(), 1)
+        part = lc_restrict(i, [aic_set(AicParams(2, 2))])
+        for u, want in (((pulse(0, 3),), [pulse(1, 4)]), ((pulse(0, 1),), [])):
+            assert part.finite_outputs(u, 0) == want
+            assert want == finite_within_oracle(part, (i,), u, 0)
+        assert lc_restrict(mc(1), [aic_set(AicParams(2, 2))]).finite_outputs((pulse(0, 3),), 0) is None
 
 
 class TestDirectProduct:

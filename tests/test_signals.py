@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    shrink_oracle,
     window_all_bit,
     window_all_bit_grid,
     window_any_bit,
@@ -216,6 +217,35 @@ class TestWindows:
     def test_window_duality(self, x, m, extra):
         d = m + extra
         assert window_any(x, d, m) == ~window_all(~x, d, m)
+
+    # (x, d, m, window_all's output)
+    SHRINK_CASES = [
+        # a 1-run exactly m long vanishes; one a tick longer (1/4) stays
+        (charfn([(0, 1), (3, F(17, 4))]), F(2), F(1), pulse(5, F(21, 4))),
+        # the same with a negative d
+        (charfn([(0, 1), (3, F(17, 4))]), F(-2), F(1), pulse(1, F(5, 4))),
+        # d and m on a lattice finer than x's: the first run is one tick
+        # of 1/24 longer than m
+        (charfn([(0, 1), (2, 4)]), F(5, 3), F(23, 24),
+         charfn([(F(5, 3), F(41, 24)), (F(11, 3), F(113, 24))])),
+        # unbounded first and last 1-runs stay, and the middle one, exactly
+        # m long, vanishes
+        (make_signal(1, [(0, 0), (1, 1), (F(5, 2), 0), (3, 1)]), F(2), F(3, 2),
+         make_signal(1, [(F(1, 2), 0), (5, 1)])),
+        (constant(0), F(1), F(1, 2), constant(0)),
+        (constant(1), F(-1), F(1, 2), constant(1)),
+    ]
+
+    @pytest.mark.parametrize("x, d, m, want", SHRINK_CASES)
+    def test_shrink_run_pairs_match_the_per_tick_loop(self, x, d, m, want):
+        assert _shrink(x, d, m, 1) == want
+        for b in (0, 1):
+            assert _shrink(x, d, m, b) == shrink_oracle(x, d, m, b)
+
+    @given(signals(), rationals(-4, 4), nonneg_rationals(2), st.integers(0, 1))
+    @settings(max_examples=200)
+    def test_shrink_matches_the_per_tick_loop(self, x, d, m, b):
+        assert _shrink(x, d, m, b) == shrink_oracle(x, d, m, b)
 
 
 class TestCanonicality:

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,6 +12,7 @@ from siglim import (
     AicParams,
     GenConfig,
     PreconditionViolated,
+    Signal,
     UnknownTheorem,
     describe,
     replay_case,
@@ -17,7 +20,10 @@ from siglim import (
     theorem_ids,
 )
 from siglim.cli import main
-from siglim.props import _REGISTRY, _draw_dwell_chain, register_check, unregister_check
+from siglim.props import (
+    _DRAW_SCALE, _REGISTRY, MAX_DENOMINATOR, _draw_dwell_chain, gen_signal, register_check,
+    unregister_check,
+)
 
 EXPECTED_IDS = (
     "1.9", "2.4a", "2.4b", "2.4c",
@@ -88,6 +94,25 @@ class TestDeterminism:
                 detail = check(rng)
                 h.update(repr((tid, case, detail, rng.getrandbits(64))).encode())
         assert h.hexdigest() == DRAW_DIGEST_30
+
+    def test_signals_drawn_on_ticks_are_the_fraction_draws(self):
+        # the draw as Fractions: the same rng calls, times deduplicated as
+        # Fractions, the signal built by the checked constructor
+        assert _DRAW_SCALE == lcm(*range(1, MAX_DENOMINATOR + 1))
+        for seed in range(300):
+            r1, r2 = random.Random(seed), random.Random(seed)
+            n = r2.randint(0, seed % 13)
+            times: set[Fraction] = set()
+            while len(times) < n:
+                q = r2.randint(1, MAX_DENOMINATOR)
+                times.add(Fraction(r2.randint(-8 * q, 24 * q), q))
+            v = initial = r2.randint(0, 1)
+            pairs = []
+            for t in sorted(times):
+                v ^= 1
+                pairs.append((t, v))
+            assert gen_signal(r1, seed % 13) == Signal(initial, tuple(pairs))
+            assert r1.random() == r2.random()
 
 
 class TestDwellChainDraw:
