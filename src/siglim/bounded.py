@@ -124,11 +124,17 @@ class Blc(LimitCondition):
         return {p.d_r, p.d_r - p.m_r, p.d_f, p.d_f - p.m_f}
 
     def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
-        lo, hi = self.envelopes(u)
-        return lambda x: int(signal_between(lo, x, hi))
+        return self._admits_between(*self.envelopes(u))
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        return _window_samples(*self.envelopes(u), count, seed)
+        return self._sample_between(*self.envelopes(u), count, seed)
+
+    # the hooks above, for an input whose envelopes lo and hi are in hand
+    def _admits_between(self, lo: Signal, hi: Signal) -> Callable[[Signal], Bit]:
+        return lambda x: int(signal_between(lo, x, hi))
+
+    def _sample_between(self, lo: Signal, hi: Signal, count: int, seed: int) -> list[Signal]:
+        return _window_samples(lo, hi, count, seed)
 
 
 def _window_samples(lo: Signal, hi: Signal, count: int, seed: int) -> list[Signal]:

@@ -700,16 +700,15 @@ class _SerialSearch:
     """The witness search of `serial_search` for one input tuple.
 
     Construction does the cheap per-input work: each stage's finite output
-    list, if it has one, and, unless every stage has one, the `_refutation`
-    over the stages' output boxes (a stage's envelopes, else its `bounds`
-    for its block, else the box (0, 1)).  The stages' membership predicates
-    and samples are built once, on the first output the refutation leaves
-    standing; a stage with a finite output list builds no predicate, since
-    the list is its whole answer.  Calling the search with an output x
-    first asks the refutation, which answers a refuted x with (0, False), a
-    proof; it then does the per-output work: the constructed candidates,
-    the first pass, then the grid round, whose deltas are gathered on the
-    first grid built.
+    list, if it has one, and, unless every stage has one, the envelopes and
+    the `_refutation` over the stages' output boxes (a stage's envelopes,
+    else its `bounds` for its block, else the box (0, 1)).  The predicates,
+    then the samples, are built on the first outputs that need them, a
+    window stage's from those envelopes, so each search walks them once.
+    A call asks the refutation first, and a refuted x gets (0, False), a
+    proof; then the constructed candidates each stage admits (alone first
+    for a lone stage whose samples leave them all in the first pass), the
+    first pass, and the grid round, whose deltas the first grid gathers.
 
     The outer stage's predicate for an intermediate tuple, `i.admits(combo)`,
     is built on the first ask and kept for every later output the search is
@@ -726,9 +725,13 @@ class _SerialSearch:
         # a stage with finitely many outputs offers them all to the first
         # pass, so when every stage does, bounds would only add work
         self.finite = [j.finite_outputs(blk, seed) for j, blk in self.parts]
-        self.envs: list[tuple[Signal, Signal] | None] = []
+        self.envs: list[tuple[Signal, Signal] | None] = [None] * len(self.parts)
         self.refutes = None
         self.outers: dict[tuple[Signal, ...], Callable[[Signal], Bit]] = {}
+        # no kind samples more than max(count, 2), so a lone stage's first
+        # pass holds this many of its admitted candidates; -1 for other chains
+        lone = len(js) == 1 and self.finite[0] is None
+        self.room = min(self.cap, budget.max_nodes) - max(budget.samples, 2) if lone else -1
         if None in self.finite:
             self.envs = [j.envelopes(blk) for j, blk in self.parts]
             self.refutes = _refutation(i, [
@@ -742,34 +745,29 @@ class _SerialSearch:
 
     @cached_property
     def stages(self) -> list[_Stage]:
-        """Each stage's membership predicate, envelopes and admitted
-        samples, or its finite output list."""
+        """Each stage's predicate and envelopes, or its finite output list."""
         out = []
-        for k, (j, blk) in enumerate(self.parts):
-            finite = self.finite[k]
+        for (j, blk), finite, env in zip(self.parts, self.finite, self.envs):
             if finite is not None:
                 out.append(_Stage(j, blk, None, None, list(dict.fromkeys(finite)), True))
-                continue
-            admits = j.admits(blk)
-            try:
-                raw = j.sample(blk, self.budget.samples, self.seed)
-            except (EmptyMeet, EmptyBailc):
-                raw = []
-            members = _distinct_members(raw, admits, self.cap)
-            # this stage has no finite list, so construction took the envelopes
-            out.append(_Stage(j, blk, admits, self.envs[k], members, False))
+            else:
+                admits = j._admits_between(*env) if j.kind in ("blc", "bailc") else j.admits(blk)
+                out.append(_Stage(j, blk, admits, env, [], False))
         return out
 
-    def _fixed(self, x: Signal) -> list[_Stage]:
-        """The stages with the candidates constructed from x that each
-        admits added to its members, which the grid round's lists start
-        with."""
-        out = []
+    @cached_property
+    def sampled(self) -> list[_Stage]:
+        """The stages with their admitted samples as members."""
+        out, n, seed = [], self.budget.samples, self.seed
         for st in self.stages:
             if not st.final:
-                cands = _constructed_candidates(st.model, st.block, st.env, self.outer, x)
-                members = _distinct_members(cands, st.admits, self.cap, st.members)
-                st = st._replace(members=members, final=len(members) >= self.cap)
+                j = st.model
+                try:
+                    raw = (j._sample_between(*st.env, n, seed) if j.kind in ("blc", "bailc")
+                           else j.sample(st.block, n, seed))
+                except (EmptyMeet, EmptyBailc):
+                    raw = []
+                st = st._replace(members=_distinct_members(raw, st.admits, self.cap))
             out.append(st)
         return out
 
@@ -790,7 +788,10 @@ class _SerialSearch:
         if self.refutes is not None and self.refutes(x):
             return 0, False
         budget, cap, outers = self.budget, self.cap, self.outers
-        fixed = self._fixed(x)
+        # the candidates constructed from x that each stage admits
+        cands = [[] if st.final else _distinct_members(
+                     _constructed_candidates(st.model, st.block, st.env, self.outer, x), st.admits)
+                 for st in self.stages]
         asked: set[tuple[Signal, ...]] = set()
 
         def hit(combos: Iterable[tuple[Signal, ...]]) -> bool:
@@ -807,6 +808,16 @@ class _SerialSearch:
                         return True
             return False
 
+        # every candidate of a lone stage with room is in the first pass
+        if len(cands[0]) <= self.room and hit((y,) for y in cands[0]):
+            return 1, False
+        # samples, then candidates, to cap members; a full list is final
+        fixed = []
+        for st, c in zip(self.sampled, cands):
+            if not st.final:
+                members = list(dict.fromkeys([*st.members, *c]))[:cap]
+                st = st._replace(members=members, final=len(members) >= cap)
+            fixed.append(st)
         # a 1 from the first pass is a 1 the grid round would give
         if hit(self._first_pass(fixed)):
             return 1, False
@@ -858,15 +869,15 @@ def serial_membership(
     output boxes, or breaking a bailc outer's dwell, or settling outside a
     sol outer's range, is no member, and the answer (0, False) is a proof
     reached with no stage sampled.  Otherwise each stage's fixed members
-    come first: its finite output list, which is its whole answer and
-    needs no membership predicate, or its samples and the candidates
-    constructed from x that it admits.  A first
-    pass asks the outer stage about their combinations, but only those the
-    grid round would reach within budget.max_nodes, so a 1 from it is a 1
-    that round would give.  Then one grid round extends each stage's list;
-    grid candidates outside a stage's envelopes are never built, and no
-    combination is asked twice.  The outer stage's predicate for a
-    combination is built once per search and kept for the search's later
+    come first: its finite output list, its whole answer, or its samples
+    and the candidates constructed from x that it admits.  A first pass
+    asks the outer stage about their combinations, but only those the grid
+    round would reach within budget.max_nodes, so a 1 from it is a 1 that
+    round would give; a lone stage's candidates are asked before it is
+    sampled when they and its samples fit that pass, which moves no answer.
+    Then one grid round extends each stage's list, building no candidate
+    outside a stage's envelopes and asking no combination twice.  The outer
+    stage's predicate for a combination is kept for the search's later
     outputs (see `_SerialSearch`).  When every list is final (deterministic
     stages give their one output), the grid adds nothing and the first pass
     answers exactly, with no grid and no delays read.

@@ -207,6 +207,7 @@ class _DwellSweep:
     def __init__(self, lo: Signal, hi: Signal, a: AicParams) -> None:
         self.lo, self.hi = lo, hi
         self.early: list[int] | None = None
+        self.rigid = True  # no edge can move, so every draw is the seed-0 one
         if not signal_leq(lo, hi):
             return
         scale = lcm(lo.scale, hi.scale, a.delta_r.denominator, a.delta_f.denominator)
@@ -239,6 +240,7 @@ class _DwellSweep:
         for j in range(len(late) - 2, -1, -1):
             late[j] = min(late[j], late[j + 1] - self.limits[self.first ^ (j + 1) & 1] - 1)
         self.early, self.late = early, late
+        self.rigid = early == late
 
     def _after(self, edges: list[int], v: Bit, t: int) -> int:
         """The first tick from t on that the dwell allows the next edge
@@ -252,7 +254,7 @@ class _DwellSweep:
         if self.early is None:
             return None
         edges = self.early
-        if seed:
+        if seed and not self.rigid:
             rng, edges = _rng(seed, "dwell"), []
             for j, (t, late) in enumerate(zip(self.early, self.late)):
                 edges.append(rng.randint(self._after(edges, self.first ^ j & 1, t), late))
@@ -290,8 +292,8 @@ class Bailc(Blc):
     it costs no work on the input; the envelopes wait for one that keeps it.
     Witnesses beyond the window samples are lo and hi with their early
     edges delayed for the dwell, then seeded draws of one `_DwellSweep`
-    over the envelopes, so a sample call that finds none has proved that
-    no output is admitted.
+    over the envelopes (one draw when the sweep is rigid), so a sample
+    call that finds none has proved that no output is admitted.
     """
 
     aic: AicParams
@@ -307,24 +309,26 @@ class Bailc(Blc):
         return super().deltas() | {self.aic.delta_r, self.aic.delta_f}
 
     def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
-        a, within = self.aic, None
+        a, env = self.aic, None
 
         def admits(x: Signal) -> Bit:
-            nonlocal within
+            nonlocal env
             if not aic_contains(x, a):
                 return 0
-            within = within or Blc._admits(self, u)
-            return within(x)
+            lo, hi = env = env or self.envelopes(u)
+            return int(signal_between(lo, x, hi))
 
         return admits
 
-    def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        lo, hi = self.envelopes(u)
+    def _admits_between(self, lo: Signal, hi: Signal) -> Callable[[Signal], Bit]:
+        return lambda x: int(aic_contains(x, self.aic) and signal_between(lo, x, hi))
+
+    def _sample_between(self, lo: Signal, hi: Signal, count: int, seed: int) -> list[Signal]:
         out = dict.fromkeys(x for x in _window_samples(lo, hi, count + 2, seed)
                             if aic_contains(x, self.aic))
         if len(out) < count:
             sweep = _DwellSweep(lo, hi, self.aic)
-            draws = (sweep.draw(seed + s) for s in range(count + 4))
+            draws = (sweep.draw(seed + s) for s in range(1 if sweep.rigid else count + 4))
             for x in chain((sweep.track(lo), sweep.track(hi)), draws):
                 if x is not None:
                     out[x] = None

@@ -9,9 +9,12 @@ from a shared assumption.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import islice, product
+from math import gcd, prod
 
 from siglim import Signal
+from siglim.conditions import _constructed_candidates, _distinct_members, _grid_candidates
+from siglim.errors import EmptyBailc, EmptyMeet
 
 Time = Fraction
 
@@ -200,3 +203,59 @@ def finite_within_oracle(model, parts, u, seed):
         outs += sub
     admits = model.admits(u)
     return [y for y in outs if admits(y)]
+
+
+def sample_first_answer(search, x):
+    """The (bit, exhausted) of the serial search `search` for the output x
+    in the order that samples every stage before it asks anything: each
+    stage's membership predicate and samples through its public `admits`
+    and `sample`, then the candidates constructed from x that it admits, to
+    cap members; the first pass over the combinations the grid round
+    reaches within max_nodes; then the grid round.  Only the per-input
+    facts are read off search: its stages' blocks, finite lists and
+    envelopes, its refutation, cap, budget, seed and deltas."""
+    if search.refutes is not None and search.refutes(x):
+        return 0, False
+    budget, cap, outer = search.budget, search.cap, search.outer
+    stages = []  # (model, block, envelopes, predicate, members, final)
+    for (j, blk), finite, env in zip(search.parts, search.finite, search.envs):
+        if finite is not None:
+            stages.append((j, blk, env, None, list(dict.fromkeys(finite)), True))
+            continue
+        admits = j.admits(blk)
+        try:
+            raw = j.sample(blk, budget.samples, search.seed)
+        except (EmptyMeet, EmptyBailc):
+            raw = []
+        members = _distinct_members(raw, admits, cap)
+        cands = _constructed_candidates(j, blk, env, outer, x)
+        members = _distinct_members(cands, admits, cap, members)
+        stages.append((j, blk, env, admits, members, len(members) >= cap))
+    asked = set()
+
+    def hit(combos):
+        for combo in combos:
+            if combo not in asked:
+                asked.add(combo)
+                if outer.admits(combo)(x):
+                    return True
+        return False
+
+    def first_pass():
+        sizes = [len(members) if final else cap for *_, members, final in stages]
+        for idx in product(*[range(len(members)) for *_, members, _ in stages]):
+            pos = 0
+            for k, size in zip(idx, sizes):
+                pos = pos * size + k
+            if pos >= budget.max_nodes:
+                return
+            yield tuple(st[4][k] for st, k in zip(stages, idx))
+
+    if hit(first_pass()):
+        return 1, False
+    lists = [members if final else _distinct_members(
+                 _grid_candidates(blk, x, env, search.deltas, budget), admits, cap, members)
+             for _, blk, env, admits, members, final in stages]
+    if hit(islice(product(*lists), budget.max_nodes)):
+        return 1, False
+    return 0, prod(map(len, lists)) > budget.max_nodes or any(len(lst) >= cap for lst in lists)

@@ -326,8 +326,9 @@ class TestSerialDispatch:
         assert chain.membership(u, x)[0] == 0
 
     def test_search_samples_each_stage_once(self, monkeypatch):
-        # the inner stage is sampled once per search, and its draws share
-        # the one dwell sweep its sample call builds
+        # the candidates miss, so the inner stage is sampled, once per
+        # search, from the envelopes the search holds; its draws share the
+        # one dwell sweep that sample call builds
         outer, inner, u, x = _composition_gap()
         calls = []
 
@@ -342,9 +343,10 @@ class TestSerialDispatch:
 
         counting(inertial, "_DwellSweep")
         counting(inertial.Bailc, "_sample")
+        counting(inertial.Bailc, "_sample_between")
         serial_membership(outer, [inner], u, x)
         counts = {name: calls.count(name) for name in set(calls)}
-        assert counts == {"_DwellSweep": 1, "_sample": 1}
+        assert counts == {"_DwellSweep": 1, "_sample_between": 1}
 
     def test_law_3_12_builds_one_search_per_chain(self, monkeypatch):
         # every output of a case shares the input, so each chain's
@@ -478,9 +480,9 @@ class TestSerialDispatch:
 
         monkeypatch.setattr(bounded, "envelopes", counting)
         serial_membership(outer, [inner], u, x)
-        # one pair each for the predicate and the samples, and one that the
-        # constructed candidates and the grid's envelope check share
-        assert sum(calls) == 3
+        # the refutation, the predicate, the samples, the constructed
+        # candidates and the grid's envelope check share one pair
+        assert sum(calls) == 1
 
     def test_no_combination_is_asked_twice(self, monkeypatch):
         # the first pass and the grid round share one record of the
@@ -504,6 +506,30 @@ class TestSerialDispatch:
         monkeypatch.setattr(conditions, "_grid_candidates", no_grid)
         outer = flc(identity_fn(), 1)
         assert serial_membership(outer, [inner], u, translate(lo, 1)) == (1, False)
+
+    @pytest.mark.parametrize("kind", ["blc", "bailc", "serial"])
+    def test_lone_stage_decided_by_a_candidate_is_not_sampled(self, kind, monkeypatch):
+        # the outer stage maps a candidate built from x, the inner member
+        # y, onto x, so the answer is in hand before any stage is sampled
+        p, u = params(1, 2, 1, 2), (pulse(0, 3),)
+        if kind == "serial":
+            inner = serial(blc(identity_fn(), identity_fn(), p), [flc(identity_fn(), 1)])
+        elif kind == "bailc":
+            inner = bailc(identity_fn(), identity_fn(), p, AicParams(0, 1))
+        else:
+            inner = blc(identity_fn(), identity_fn(), p)
+        assert inner.kind == kind
+        y = inner.sample(u, 1, 0)[0]
+
+        def no_sampler(*args):
+            raise AssertionError("stage sampled")
+
+        monkeypatch.setattr(Serial, "_sample", no_sampler)
+        for owner in (bounded.Blc, inertial.Bailc):
+            monkeypatch.setattr(owner, "_sample", no_sampler)
+            monkeypatch.setattr(owner, "_sample_between", no_sampler)
+        outer = flc(identity_fn(), 1)
+        assert serial_membership(outer, [inner], u, translate(y, 1)) == (1, False)
 
     def test_dry_stage_sampler_leaves_the_other_candidates(self):
         # the stage's samples are empty, not an error, and the search still

@@ -11,19 +11,24 @@ seed, and both must return the same members.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import lcm
 
 import pytest
 
 from siglim import (
-    EmptyBailc, Signal, aic_contains, bailc, breakpoints, make_signal, search_between,
-    signal_between,
+    AicParams, EmptyBailc, Signal, SiglimError, aic_contains, aic_set, bailc, blc, breakpoints,
+    flc, lc_join, lc_meet, lc_restrict, make_signal, mc, sc, search_between, signal_between, sol,
 )
+from siglim import inertial
 from siglim.boolfn import and_fn, identity_fn, or_fn, xor_fn
 from siglim.bounded import _window_samples
-from siglim.conditions import _rng
-from siglim.props import _feasible_aic, _gen_overlap_params
+from siglim.conditions import Serial, _composed_bounds, _rng
+from siglim.inertial import _DwellSweep
+from siglim.props import (
+    _feasible_aic, _gen_overlap_params, gen_boolfn, gen_boolfn_pair_leq, gen_multisignal,
+)
 
 
 def window_samples_oracle(lo, hi, count, seed):
@@ -150,3 +155,61 @@ def test_bailc_cases_reach_the_draws():
                         if aic_contains(x, model.aic)}
                 drawn += len(kept) < count
     assert drawn > 50, drawn
+
+
+def test_rigid_sweeps_draw_the_seed_zero_member_with_no_rng(monkeypatch):
+    # where no edge can move, every seed's draw is the seed-0 one; forcing
+    # the seeded path gives the same members
+    rigid = 0
+    for seed in range(40):
+        model, u = _bailc_case(seed)
+        sweep = _DwellSweep(*model.envelopes(u), model.aic)
+        draws = [sweep.draw(s) for s in range(6)]
+        if sweep.rigid:
+            rigid += 1
+            assert draws == [draws[0]] * 6
+        sweep.rigid = False
+        assert [sweep.draw(s) for s in range(6)] == draws
+    assert 5 < rigid < 35, rigid
+
+    def no_rng(*args):
+        raise AssertionError("rng seeded")
+
+    monkeypatch.setattr(inertial, "_rng", no_rng)
+    lo = hi = make_signal(0, [(1, 1), (3, 0)])
+    sweep = _DwellSweep(lo, hi, AicParams(1, 1))
+    assert sweep.rigid and sweep.draw(5) == lo
+
+
+def _every_kind(rng):
+    """One model of each kind, on one input."""
+    f, g = gen_boolfn_pair_leq(1, rng)
+    p = _gen_overlap_params(rng)
+    window, dwell, loose = blc(f, g, p), bailc(f, g, p, _feasible_aic(p, rng)), sol(f, g)
+    return [loose, sc(), mc(1), window, dwell, flc(gen_boolfn(1, rng), 1),
+            lc_meet(window, dwell), lc_join(loose, window),
+            lc_restrict(window, [aic_set(AicParams(0, 0))]),
+            Serial(*_composed_bounds(window, [dwell]), window, (dwell,))]
+
+
+def test_samplers_return_at_most_the_bound_the_search_assumes():
+    # a lone stage's candidates go first only when its samples and they fit
+    # the first pass, and the search's room for them assumes that no kind
+    # returns more than max(count, 2)
+    most = Counter()
+    for seed in range(30):
+        rng = random.Random(f"bound:{seed}")
+        models = _every_kind(rng)
+        u = gen_multisignal(1, rng, 6)
+        for model in models:
+            for count in (1, 2, 3, 6, 10):
+                try:
+                    out = model.sample(u, count, seed)
+                except SiglimError:
+                    continue  # no witness drawn for this input
+                assert len(out) <= max(count, 2), (model.kind, count)
+                most[model.kind, count] = max(most[model.kind, count], len(out))
+    # a sol gives its two bound images even when asked for one, and every
+    # kind with more than one output fills a count of 3
+    assert most["sol", 1] == 2
+    assert all(most[kind, 3] == 3 for kind, _ in most if kind != "flc")

@@ -23,23 +23,23 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from oracles import dwell_dfs_oracle
+from oracles import dwell_dfs_oracle, sample_first_answer
 
 from siglim import (
     AicParams, BlcParams, SearchBudget, Signal, SiglimError, bailc, blc, breakpoints, constant, flc,
-    lc_join, lc_meet, pulse, serial, serial_membership, signal_between, signal_leq, sol,
-    values_along,
+    lc_join, lc_meet, make_signal, pulse, serial, serial_membership, signal_between, signal_leq,
+    sol, values_along,
 )
 from siglim import props
 from siglim.boolfn import and_fn, identity_fn, or_fn
 from siglim.conditions import (
-    Serial, _clamp, _composed_bounds, _distinct_members, _grid_candidates, _grid_times, _rng,
-    serial_search,
+    DEFAULT_BUDGET, Serial, _clamp, _composed_bounds, _distinct_members, _grid_candidates,
+    _grid_times, _rng, serial_search,
 )
 from siglim.inertial import aic_contains, search_between
 from siglim.props import (
-    _feasible_aic, _gen_overlap_params, _rat, gen_boolfn, gen_boolfn_pair_leq, gen_multisignal,
-    gen_signal,
+    CHECK_BUDGET, ORACLE_BUDGET, _feasible_aic, _gen_overlap_params, _rat, gen_boolfn,
+    gen_boolfn_pair_leq, gen_multisignal, gen_signal,
 )
 
 
@@ -278,6 +278,41 @@ def test_default_budget_search_answers_are_pinned():
     assert answer_digest(answers) == (CORPUS_COUNTS, CORPUS_DIGEST)
 
 
+@pytest.fixture(scope="module")
+def lone_stage_corpus():
+    """The one-stage queries of chain_corpus(2, 1000): 516 of them."""
+    return [q for q in chain_corpus(2, 1000) if len(q[1]) == 1]
+
+
+# the property suite's budgets, and two whose first pass cannot hold a
+# lone stage's samples and candidates (max_nodes 3 is below the cap of 4),
+# where asking every admitted candidate first would move 4 and 8 answers
+LONE_BUDGETS = {
+    "default": DEFAULT_BUDGET, "check": CHECK_BUDGET, "oracle": ORACLE_BUDGET,
+    "cut-4-1": SearchBudget(max_nodes=4, samples=1),
+    "cut-3-3": SearchBudget(max_nodes=3, samples=3),
+}
+# the queries that the candidates decided with the stage unsampled: none
+# where the first pass has no room left after the samples
+LONE_UNSAMPLED = {"default": 231, "check": 231, "oracle": 231, "cut-4-1": 161, "cut-3-3": 0}
+
+
+@pytest.mark.parametrize("name", LONE_BUDGETS)
+def test_lone_stage_answers_match_the_sample_first_order(name, lone_stage_corpus):
+    # a lone stage's candidates are asked before it is sampled only where
+    # the answer cannot move; the oracle samples every stage first, through
+    # its public sampler and predicate
+    budget = LONE_BUDGETS[name]
+    unsampled = 0
+    for outer, inners, u, x in lone_stage_corpus:
+        search = serial_search(outer, inners, u, budget, 5)
+        want = sample_first_answer(serial_search(outer, inners, u, budget, 5), x)
+        assert search(x) == want, (outer, inners, u, x)
+        refuted = search.refutes is not None and search.refutes(x)
+        unsampled += search.room >= 0 and not refuted and "sampled" not in search.__dict__
+    assert unsampled == LONE_UNSAMPLED[name]
+
+
 # --- ternary bounds ----------------------------------------------------------
 
 def _box_model(kind, m, rng):
@@ -377,8 +412,9 @@ def test_refuted_nested_chain_query_samples_no_stage(monkeypatch):
     assert serial_membership(outer, [inner], u, constant(1)) == (0, False)
     assert calls == []
     # the chain's bounds are ([5, 6), [3, 8)): an x within them is searched,
-    # and the nested stage is sampled
-    serial_membership(outer, [inner], u, pulse(5, 6))
+    # and when the candidates miss it, the nested stage is sampled
+    x = make_signal(0, [(3, 1), (4, 0), (5, 1), (6, 0)])
+    assert serial_membership(outer, [inner], u, x) == (0, False)
     assert calls
 
 
