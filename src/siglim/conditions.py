@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, product
+from itertools import combinations, islice, product
 from math import lcm, prod
 from typing import (
     TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple, Sequence,
@@ -324,6 +323,9 @@ class Meet(LimitCondition):
     """Intersection of models sharing one bound pair, optionally restricted
     to the outputs inside a signal set.
 
+    A part's budget-cut 0 leaves membership undecided unless another part,
+    or the signal set, rejects the output outright.
+
     When the parts' samples fall short, the signal set is asked for a member
     between the first part's envelopes, kept only if the meet contains it.
     Non-emptiness is checked lazily: sampling raises EmptyMeet when no common
@@ -338,6 +340,17 @@ class Meet(LimitCondition):
         parts = [part.admits(u) for part in self.parts]
         v = self.within
         return lambda x: int(all(p(x) for p in parts) and (v is None or v.contains(x)))
+
+    def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
+        if self.within is not None and not self.within.contains(x):
+            return 0, False
+        cut = False
+        for part in self.parts:
+            bit, exhausted = part.membership(u, x)
+            if not (bit or exhausted):
+                return 0, False
+            cut |= exhausted
+        return (0, True) if cut else (1, False)
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         pool: list[Signal] = []
@@ -400,6 +413,15 @@ class Join(LimitCondition):
         parts = [part.admits(u) for part in self.parts]
         return lambda x: int(any(p(x) for p in parts))
 
+    def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
+        cut = False
+        for part in self.parts:
+            bit, exhausted = part.membership(u, x)
+            if bit:
+                return 1, False
+            cut |= exhausted
+        return 0, cut
+
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         pool = [x for part in self.parts for x in part.sample(u, count, seed)]
         return list(dict.fromkeys(pool))[:count]
@@ -449,6 +471,9 @@ class Restrict(LimitCondition):
 
     def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
         return self.base.admits(u) if self._in_domain(u) else lambda x: 0
+
+    def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
+        return self.base.membership(u, x) if self._in_domain(u) else (0, False)
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         if not self._in_domain(u):
@@ -583,70 +608,26 @@ def _constructed_candidates(
     return cands
 
 
-def _runs(s: Signal, b: Bit, scale: int, grid: list[int]) -> tuple[int, int, list[int]]:
-    """Where s holds the value b, read at the ascending grid ticks.
-
-    scale is a multiple of s.scale.  Returns (before, after, ends): s is b
-    on (-inf, grid[a]) iff a < before, on [grid[a], inf) iff a >= after,
-    and on [grid[a], grid[c]) for a < c < len(grid) iff c < ends[a].
-    """
-    n, f = len(grid), scale // s.scale
-    ticks = [t * f for t in s.ticks]
-    if not ticks:
-        return (n, 0, [n] * n) if s.initial == b else (0, n, [0] * n)
-    before = bisect_right(grid, ticks[0]) if s.initial == b else 0
-    after = bisect_left(grid, ticks[-1]) if s.eventual_value() == b else n
-    ends = []
-    for t in grid:
-        k = bisect_right(ticks, t)
-        if s.initial ^ (k & 1) != b:
-            ends.append(0)
-        else:
-            ends.append(bisect_right(grid, ticks[k]) if k < len(ticks) else n)
-    return before, after, ends
-
-
 def _grid_candidates(
-    blk: MultiSignal, x: Signal, env: tuple[Signal, Signal] | None, deltas: set[Time],
-    budget: SearchBudget,
+    blk: MultiSignal, x: Signal, deltas: set[Time], budget: SearchBudget,
 ) -> Iterator[Signal]:
-    """Steps at each grid time, then pulses on each pair of grid times, in
-    that order; the pulses stop once more than 4 * max_nodes candidates were
-    counted.
+    """A rising and a falling step at each grid time, then the two pulses on
+    each pair of grid times, in that order, stopping once more than
+    4 * max_nodes candidates were made.
 
-    Each candidate is looked up against the stage's envelopes env before it
-    is built, and only those lying between them are built: a stage admits
-    nothing outside its envelopes.  Candidates that fail still count toward
-    the cut, so the stream is the unfiltered one with those left out.  With
-    env None nothing is left out.
+    The stream is plain: the stage's own predicate, which admits nothing
+    outside the stage's envelopes, is its only filter.
     """
-    lo, hi = env or (constant(0), constant(1))
     scale, grid = _grid_times((*blk, x), deltas)
-    lattice = lcm(scale, lo.scale, hi.scale)
-    grid = [t * (lattice // scale) for t in grid]
-    # a candidate must be 1 wherever lo is 1 and 0 wherever hi is 0
-    lo_before, lo_after, lo_ends = _runs(lo, 0, lattice, grid)
-    hi_before, hi_after, hi_ends = _runs(hi, 1, lattice, grid)
-    n = len(grid)
-    for a, t in enumerate(grid):
-        if hi_after <= a < lo_before:
-            yield Signal._on(0, lattice, (t,))
-        if lo_after <= a < hi_before:
-            yield Signal._on(1, lattice, (t,))
-    # pairs counted before the cut, in combinations(range(n), 2) order
-    left = max(1, 2 * budget.max_nodes - n + 1)
-    for a, t1 in enumerate(grid):
-        stop = min(n, a + 1 + left)
-        left -= stop - a - 1
-        up = range(max(a + 1, lo_after), min(stop, hi_ends[a]) if a < lo_before else 0)
-        down = range(max(a + 1, hi_after), min(stop, lo_ends[a]) if a < hi_before else 0)
-        live = [r for r in (up, down) if r]
-        for c in range(min(r.start for r in live), max(r.stop for r in live)) if live else ():
-            if c in up:
-                yield Signal._on(0, lattice, (t1, grid[c]))
-            if c in down:
-                yield Signal._on(1, lattice, (t1, grid[c]))
-        if left <= 0:
+    for t in grid:
+        yield Signal._on(0, scale, (t,))
+        yield Signal._on(1, scale, (t,))
+    made = 2 * len(grid)
+    for pair in combinations(grid, 2):
+        yield Signal._on(0, scale, pair)
+        yield Signal._on(1, scale, pair)
+        made += 2
+        if made > 4 * budget.max_nodes:
             return
 
 
@@ -709,6 +690,9 @@ class _SerialSearch:
     proof; then the constructed candidates each stage admits (alone first
     for a lone stage whose samples leave them all in the first pass), the
     first pass, and the grid round, whose deltas the first grid gathers.
+    The grid round's one filter is each stage's predicate: it reads the
+    plain `_grid_candidates` stream and admits nothing outside the stage's
+    envelopes.
 
     The outer stage's predicate for an intermediate tuple, `i.admits(combo)`,
     is built on the first ask and kept for every later output the search is
@@ -823,7 +807,7 @@ class _SerialSearch:
             return 1, False
         lists = [
             st.members if st.final else _distinct_members(
-                _grid_candidates(st.block, x, st.env, self.deltas, budget),
+                _grid_candidates(st.block, x, self.deltas, budget),
                 st.admits, cap, st.members)
             for st in fixed
         ]
@@ -875,10 +859,10 @@ def serial_membership(
     round would reach within budget.max_nodes, so a 1 from it is a 1 that
     round would give; a lone stage's candidates are asked before it is
     sampled when they and its samples fit that pass, which moves no answer.
-    Then one grid round extends each stage's list, building no candidate
-    outside a stage's envelopes and asking no combination twice.  The outer
-    stage's predicate for a combination is kept for the search's later
-    outputs (see `_SerialSearch`).  When every list is final (deterministic
+    Then one grid round extends each stage's list with the grid candidates
+    its predicate admits, which are none outside its envelopes, asking no
+    combination twice.  The outer stage's predicate for a combination is
+    kept for the search's later outputs (see `_SerialSearch`).  When every list is final (deterministic
     stages give their one output), the grid adds nothing and the first pass
     answers exactly, with no grid and no delays read.
     """

@@ -254,7 +254,7 @@ def sample_first_answer(search, x):
     if hit(first_pass()):
         return 1, False
     lists = [members if final else _distinct_members(
-                 _grid_candidates(blk, x, env, search.deltas, budget), admits, cap, members)
+                 _grid_candidates(blk, x, search.deltas, budget), admits, cap, members)
              for _, blk, env, admits, members, final in stages]
     if hit(islice(product(*lists), budget.max_nodes)):
         return 1, False

@@ -22,6 +22,7 @@ from siglim import (
     constant,
     flc,
     identity_fn,
+    lc_join,
     lc_meet,
     make_signal,
     mc,
@@ -181,6 +182,19 @@ class TestCheck:
         argv = self._chain_argv(ws, blc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2)), pulse(2, 3))
         assert main(argv) == 0
         assert capsys.readouterr().out.strip() == "ok"
+        monkeypatch.setattr(siglim.conditions, "DEFAULT_BUDGET", SearchBudget(max_nodes=1))
+        assert main(argv) == 3
+        assert capsys.readouterr().out.strip() == "undecided"
+
+    @pytest.mark.parametrize("kind", ["meet", "join"])
+    def test_budget_cut_part_leaves_a_meet_or_join_undecided(self, ws, capsys, monkeypatch,
+                                                            kind):
+        # the chain's cut search is not a proof inside a meet or a join: the
+        # meet's other part, sol over the chain's bounds, admits x
+        argv = self._chain_argv(ws, blc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2)), pulse(2, 3))
+        chain = read_model_file(argv[2])
+        other = sol(chain.f, chain.g) if kind == "meet" else chain
+        argv[2] = ws.model(f"{kind}.json", (lc_meet if kind == "meet" else lc_join)(chain, other))
         monkeypatch.setattr(siglim.conditions, "DEFAULT_BUDGET", SearchBudget(max_nodes=1))
         assert main(argv) == 3
         assert capsys.readouterr().out.strip() == "undecided"

@@ -3,9 +3,9 @@ bounds, and its answers.
 
 The grids are built as integer ticks; the Fraction versions below are the
 definitions they must reproduce, point for point.  The grid candidate stream
-leaves out what lies outside a stage's envelopes; the full stream must be
-the Fraction definition's, and filtering either through the stage must give
-the same members.  The dwell search is exact, so the dwell DFS it replaced
+is the Fraction definition's, unfiltered: the stage's predicate is its only
+filter, so it admits none outside the stage's envelopes, and leaving those
+out first must give the same members.  The dwell search is exact, so the dwell DFS it replaced
 is an oracle one way: wherever the DFS finds a witness, so must it.  The
 bounds are checked one way too: no member a sampler draws, and no output
 the search finds a witness for, may lie outside them.
@@ -27,8 +27,8 @@ from oracles import dwell_dfs_oracle, sample_first_answer
 
 from siglim import (
     AicParams, BlcParams, SearchBudget, Signal, SiglimError, bailc, blc, breakpoints, constant, flc,
-    lc_join, lc_meet, make_signal, pulse, serial, serial_membership, signal_between, signal_leq,
-    sol, values_along,
+    aic_set, lc_join, lc_meet, lc_restrict, make_signal, pulse, serial, serial_membership,
+    signal_between, signal_leq, sol, values_along,
 )
 from siglim import props
 from siglim.boolfn import and_fn, identity_fn, or_fn
@@ -171,16 +171,17 @@ PREFILTER_BUDGETS = ((2000, 400), (160, 160), (20, 13), (3, 2))
 
 @pytest.mark.parametrize("seed", range(30))
 def test_envelope_prefilter_keeps_every_member(seed):
+    # the stage's predicate is the grid stream's only filter: a prefilter
+    # to its envelopes would keep every member and leave the cut alone
     model, blk, x, deltas = _prefilter_case(seed)
-    lo, hi = env = model.envelopes(blk)
+    lo, hi = model.envelopes(blk)
     admits = model.admits(blk)
     found = _distinct_members(model.sample(blk, 3, seed), admits)
     for max_nodes, cap in PREFILTER_BUDGETS:
-        budget = SearchBudget(max_nodes=max_nodes)
-        full = list(_grid_candidates(blk, x, None, deltas, budget))
+        full = list(_grid_candidates(blk, x, deltas, SearchBudget(max_nodes=max_nodes)))
         assert full == grid_candidates_oracle(blk, x, deltas, max_nodes)
-        kept = list(_grid_candidates(blk, x, env, deltas, budget))
-        assert kept == [c for c in full if signal_leq(lo, c) and signal_leq(c, hi)]
+        assert all(signal_between(lo, c, hi) for c in full if admits(c))
+        kept = [c for c in full if signal_between(lo, c, hi)]
         for start in ((), found):
             assert (_distinct_members(kept, admits, cap, start)
                     == _distinct_members(full, admits, cap, start))
@@ -194,7 +195,7 @@ def test_prefilter_cases_reach_the_cut_and_the_cap():
         _, grid = _grid_times((*blk, x), deltas)
         n = len(grid)
         for max_nodes, cap in PREFILTER_BUDGETS:
-            full = list(_grid_candidates(blk, x, None, deltas, SearchBudget(max_nodes)))
+            full = list(_grid_candidates(blk, x, deltas, SearchBudget(max_nodes)))
             cut += len(full) < n * (n + 1)
             capped += len(_distinct_members(full, admits, cap)) == cap
     assert cut > 10 and capped > 10, (cut, capped)
@@ -276,6 +277,30 @@ def test_default_budget_search_answers_are_pinned():
     corpus = chain_corpus(0, 300)
     answers = [serial_membership(outer, inners, u, x) for outer, inners, u, x in corpus]
     assert answer_digest(answers) == (CORPUS_COUNTS, CORPUS_DIGEST)
+
+
+def test_meet_join_and_restrict_keep_a_parts_budget_cut():
+    # the corpus's budget-cut answers, seen through a combinator: a cut
+    # part reads as a cut, not a proof, unless another part decides
+    decided = set()
+    for outer, inners, u, x in chain_corpus(0, 300):
+        if serial_membership(outer, inners, u, x) != (0, True):
+            continue
+        chain = serial(outer, inners)
+        loose = sol(chain.f, chain.g)
+        sets = [aic_set(AicParams(2, 2))] * len(u)
+        assert lc_meet(chain, chain).membership(u, x) == (0, True)
+        assert lc_join(chain, chain).membership(u, x) == (0, True)
+        assert lc_restrict(chain, [aic_set(AicParams(0, 0))] * len(u)).membership(u, x) == (0, True)
+        # a decisive part 0 decides a meet, a part's 1 a join, and the
+        # domain a restriction
+        admitted = loose.contains(u, x)
+        assert lc_meet(chain, loose).membership(u, x) == ((0, True) if admitted else (0, False))
+        assert lc_join(chain, loose).membership(u, x) == ((1, False) if admitted else (0, True))
+        inside = all(v.contains(s) for v, s in zip(sets, u))
+        assert lc_restrict(chain, sets).membership(u, x) == ((0, True) if inside else (0, False))
+        decided |= {("sol", admitted), ("domain", inside)}
+    assert decided == {("sol", 0), ("sol", 1), ("domain", False), ("domain", True)}
 
 
 @pytest.fixture(scope="module")
