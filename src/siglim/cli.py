@@ -18,7 +18,7 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 
-from .conditions import LimitCondition, Serial, closed_form
+from .conditions import Join, LimitCondition, Meet, Serial, closed_form
 from .errors import PreconditionViolated, SiglimError
 from .files import (
     format_tick,
@@ -81,16 +81,32 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _violation_time(model: LimitCondition, u, x: Signal) -> Time | None:
     """The first time x leaves the model's envelopes, or its `bounds` for u
-    when it has none; else the first dwell violation of a bailc model or of
-    a chain's bailc outer stage.  None when neither names a time."""
+    when it has none; else the first dwell violation of a bailc model, of
+    a chain's bailc outer stage or of a meet's part.  None when none names
+    a time."""
     box = model.envelopes(u) or model.bounds(u, u)
     if box is not None:
         lo, hi = box
         t = first_one_time((lo & ~x) | (x & ~hi))
         if t is not None:
             return t
+    if isinstance(model, Meet):
+        return min((t for p in model.parts if (t := _violation_time(p, u, x)) is not None),
+                   default=None)
     outer = model.outer if isinstance(model, Serial) else model
     return aic_violation(x, outer.aic) if isinstance(outer, Bailc) else None
+
+
+def _search_rejects(model: LimitCondition, u, x: Signal) -> bool:
+    """Whether a rejected x is rejected by a chain's witness search alone:
+    the model is a chain that names no violation time, a meet whose parts
+    each admit x or reject it so, or a join with a part that rejects it so
+    (documents hold no set-meets)."""
+    if isinstance(model, Serial):
+        return _violation_time(model, u, x) is None
+    if isinstance(model, Meet):
+        return all(p.contains(u, x) or _search_rejects(p, u, x) for p in model.parts)
+    return isinstance(model, Join) and any(_search_rejects(p, u, x) for p in model.parts)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -108,7 +124,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 3
         if bit != 1:
             t = _violation_time(model, u, x)
-            if t is None and isinstance(model, Serial):
+            if t is None and _search_rejects(model, u, x):
                 # x is inside the chain's bounds: no time is to blame
                 print("violation: the witness search found no intermediate signals")
                 return 1

@@ -65,8 +65,9 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for the serial witness search and the seeded samplers; exceeding
-    them is inconclusive, never wrong.  The exact dwell sweep needs none."""
+    """Caps for the serial witness search and the seeded samplers.  A 0 they
+    cut is inconclusive, and an uncut 0 from the grid round is no proof
+    either (see `serial_membership`).  The exact dwell sweep needs none."""
 
     max_nodes: int = 2000
     samples: int = 6
@@ -96,8 +97,23 @@ class SignalSet(ABC):
         return None
 
 
+Admits = Callable[[Signal], "Bit | None"]  # 1, 0, or None for a budget-cut 0
+
+
+def _kleene(bits: Iterable[Bit | None], decisive: Bit) -> Bit | None:
+    """Kleene's strong AND (decisive 0) or OR (decisive 1): the decisive bit
+    if any bit is it, else None if any is None, else the other bit."""
+    out: Bit | None = 1 - decisive
+    for bit in bits:
+        if bit == decisive:
+            return decisive
+        if bit is None:
+            out = None
+    return out
+
+
 def _distinct_members(
-    pool: Iterable[Signal], admits: Callable[[Signal], Bit], cap: int | None = None,
+    pool: Iterable[Signal], admits: Admits, cap: int | None = None,
     found: Sequence[Signal] = (),
 ) -> list[Signal]:
     """found followed by the distinct signals of pool that admits accepts and
@@ -120,11 +136,13 @@ class LimitCondition(ABC):
     here.  `contains`, `admits`, `membership` and `sample` are defined only
     here: they check the input tuple and call the kind's hooks.  `admits(u)`
     is the one membership hook: it does the per-input work (envelopes,
-    outputs, eventual values) once and returns a predicate on outputs, and
-    `contains(u, x)` is `admits(u)(x)`.  Loops that test many outputs
-    against one input build the predicate once.  The remaining methods tell
-    the serial witness search what a kind knows about its outputs; the
-    defaults here say that nothing is known.
+    outputs, eventual values) once and returns a predicate on outputs that
+    answers 1, 0 or None, where None is a 0 from a witness search that hit
+    its budget.  `contains(u, x)` and `membership(u, x)` are read off it.
+    Every truth test reads None as "not admitted".  Loops that test many
+    outputs against one input build the predicate once.  The remaining
+    methods tell the serial witness search what a kind knows about its
+    outputs; the defaults here say that nothing is known.
     """
 
     f: BoolFn
@@ -148,24 +166,23 @@ class LimitCondition(ABC):
         return u
 
     def contains(self, u: MultiSignal, x: Signal) -> Bit:
-        return self.admits(u)(x)
+        return self.admits(u)(x) or 0
 
-    def admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
-        """Membership predicate on outputs for the input u."""
+    def admits(self, u: MultiSignal) -> Admits:
+        """Predicate on outputs for u: 1, 0, or None for a budget-cut 0.  An
+        uncut 0 from a search's grid round is no proof either."""
         return self._admits(self._check_input(u))
 
     def membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
         """(bit, inconclusive): inconclusive marks a search that hit its budget."""
-        return self._membership(self._check_input(u), x)
+        bit = self.admits(u)(x)
+        return bit or 0, bit is None
 
     def sample(self, u: MultiSignal, count: int = 3, seed: int = 0) -> list[Signal]:
         return self._sample(self._check_input(u), count, seed)
 
     @abstractmethod
-    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]: ...
-
-    def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
-        return self._admits(u)(x), False
+    def _admits(self, u: MultiSignal) -> Admits: ...
 
     @abstractmethod
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]: ...
@@ -323,8 +340,8 @@ class Meet(LimitCondition):
     """Intersection of models sharing one bound pair, optionally restricted
     to the outputs inside a signal set.
 
-    A part's budget-cut 0 leaves membership undecided unless another part,
-    or the signal set, rejects the output outright.
+    Membership is Kleene's AND over the parts and the set: a part's cut 0
+    leaves it undecided unless another part or the set rejects x outright.
 
     When the parts' samples fall short, the signal set is asked for a member
     between the first part's envelopes, kept only if the meet contains it.
@@ -336,21 +353,11 @@ class Meet(LimitCondition):
     within: SignalSet | None
     kind = "meet"
 
-    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
-        parts = [part.admits(u) for part in self.parts]
-        v = self.within
-        return lambda x: int(all(p(x) for p in parts) and (v is None or v.contains(x)))
-
-    def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
-        if self.within is not None and not self.within.contains(x):
-            return 0, False
-        cut = False
-        for part in self.parts:
-            bit, exhausted = part.membership(u, x)
-            if not (bit or exhausted):
-                return 0, False
-            cut |= exhausted
-        return (0, True) if cut else (1, False)
+    def _admits(self, u: MultiSignal) -> Admits:
+        tests = [part.admits(u) for part in self.parts]
+        if self.within is not None:
+            tests.append(self.within.contains)
+        return lambda x: _kleene((test(x) for test in tests), 0)
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         pool: list[Signal] = []
@@ -404,23 +411,14 @@ def lc_meet_set(i: LimitCondition, v: SignalSet) -> Meet:
 
 @dataclass(frozen=True, eq=False)
 class Join(LimitCondition):
-    """Union of models sharing one bound pair."""
+    """Union of models sharing one bound pair: Kleene's OR over the parts."""
 
     parts: tuple[LimitCondition, ...]
     kind = "join"
 
-    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
+    def _admits(self, u: MultiSignal) -> Admits:
         parts = [part.admits(u) for part in self.parts]
-        return lambda x: int(any(p(x) for p in parts))
-
-    def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
-        cut = False
-        for part in self.parts:
-            bit, exhausted = part.membership(u, x)
-            if bit:
-                return 1, False
-            cut |= exhausted
-        return 0, cut
+        return lambda x: _kleene((p(x) for p in parts), 1)
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         pool = [x for part in self.parts for x in part.sample(u, count, seed)]
@@ -469,11 +467,8 @@ class Restrict(LimitCondition):
     def _in_domain(self, u: MultiSignal) -> bool:
         return all(v.contains(up) for v, up in zip(self.sets, u))
 
-    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
+    def _admits(self, u: MultiSignal) -> Admits:
         return self.base.admits(u) if self._in_domain(u) else lambda x: 0
-
-    def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
-        return self.base.membership(u, x) if self._in_domain(u) else (0, False)
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         if not self._in_domain(u):
@@ -671,7 +666,7 @@ class _Stage(NamedTuple):
 
     model: LimitCondition
     block: MultiSignal
-    admits: Callable[[Signal], Bit] | None  # None for a finite output list
+    admits: Admits | None  # None for a finite output list
     env: tuple[Signal, Signal] | None
     members: list[Signal]
     final: bool  # the grid must not extend members: the finite output list, or cap members
@@ -711,7 +706,7 @@ class _SerialSearch:
         self.finite = [j.finite_outputs(blk, seed) for j, blk in self.parts]
         self.envs: list[tuple[Signal, Signal] | None] = [None] * len(self.parts)
         self.refutes = None
-        self.outers: dict[tuple[Signal, ...], Callable[[Signal], Bit]] = {}
+        self.outers: dict[tuple[Signal, ...], Admits] = {}
         # no kind samples more than max(count, 2), so a lone stage's first
         # pass holds this many of its admitted candidates; -1 for other chains
         lone = len(js) == 1 and self.finite[0] is None
@@ -844,9 +839,11 @@ def serial_membership(
     """Search for intermediate signals proving x admissible for the chain.
 
     Returns (1, False) on success; (0, exhausted) otherwise, where exhausted
-    flags that the budget cut the enumeration short, making the 0 a
-    semi-decision rather than a proof of absence.  This is
-    `serial_search(i, js, u, budget, seed)(x)`.
+    flags that the budget cut the enumeration short.  A 0 is a proof when
+    the ternary bounds refute x or every stage has a finite output list (see
+    below); an uncut 0 from the grid round is not, since the grid holds only
+    signals of at most two transitions.  This is `serial_search(i, js, u,
+    budget, seed)(x)`.
 
     Unless every stage has a finite output list, the chain's ternary bounds
     come first: x outside the outer stage's `bounds` over the inner stages'
@@ -874,11 +871,12 @@ class Serial(LimitCondition):
     """Outer model fed by one inner model per input, with no closed form.
 
     Membership is the witness search `serial_search` under the default
-    budget, which `admits` builds once per input; it is exact when every
-    stage is deterministic, since each stage then offers its one output,
-    and its 0 is a proof wherever the chain's ternary bounds refute the
-    output.  `bounds` recurses through the stages, so a chain nested as a
-    stage of another gives the enclosing search a box.
+    budget, built once per input by `admits`, which answers None for a cut
+    0.  It is exact when every stage is deterministic, since each stage
+    then offers its one output, and its 0 is a proof wherever the chain's
+    ternary bounds refute the output.  `bounds` recurses through the
+    stages, so a chain nested as a stage of another gives the enclosing
+    search a box.
     """
 
     outer: LimitCondition
@@ -889,12 +887,14 @@ class Serial(LimitCondition):
     def deterministic(self) -> bool:
         return self.outer.deterministic and all(j.deterministic for j in self.inners)
 
-    def _membership(self, u: MultiSignal, x: Signal) -> tuple[Bit, bool]:
-        return serial_membership(self.outer, self.inners, u, x)
-
-    def _admits(self, u: MultiSignal) -> Callable[[Signal], Bit]:
+    def _admits(self, u: MultiSignal) -> Admits:
         search = serial_search(self.outer, self.inners, u)
-        return lambda x: search(x)[0]
+
+        def admits(x: Signal) -> Bit | None:
+            bit, cut = search(x)
+            return None if cut else bit
+
+        return admits
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         blocks = DirectProduct(self.inners).split(u)

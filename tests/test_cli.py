@@ -215,6 +215,17 @@ class TestCheck:
         assert main(self._chain_argv(ws, outer, x)) == 1
         assert capsys.readouterr().out.strip() == "violation at t=9/2"
 
+    def test_meet_over_a_chain_reports_the_outer_dwell_violation(self, ws, capsys):
+        # the same x inside a meet with sol: the chain part's outer dwell is
+        # to blame, not the last breakpoint + 1 and not the search
+        outer = bailc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2), AicParams(1, 1))
+        x = make_signal(0, [(2, 1), (4, 0), (F(9, 2), 1), (9, 0)])
+        argv = self._chain_argv(ws, outer, x)
+        chain = read_model_file(argv[2])
+        argv[2] = ws.model("meet.json", lc_meet(chain, sol(chain.f, chain.g)))
+        assert main(argv) == 1
+        assert capsys.readouterr().out.strip() == "violation at t=9/2"
+
     def test_dry_stage_sampler_is_not_an_input_error(self, ws, capsys):
         # the inner stage's sampler finds no witness for this input; the
         # search goes on without its samples and refutes x
@@ -236,6 +247,21 @@ class TestCheck:
         chain = serial(outer, [inner])
         assert chain.kind == "serial"
         argv = ["check", "--model", ws.model("chain.json", chain),
+                "--input", ws.signal("u.json", u),
+                "--candidate", ws.signal("x.json", x)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.strip() == (
+            "violation: the witness search found no intermediate signals")
+
+    @pytest.mark.parametrize("kind", ["meet", "join"])
+    def test_searched_zero_in_a_meet_or_join_names_no_time(self, ws, capsys, kind):
+        # the case 129 chain again: the meet's other part, sol over the
+        # chain's bounds, admits x, so in both only the search rejects it
+        outer, inner, (u,), x = _composition_gap()
+        chain = serial(outer, [inner])
+        other = sol(chain.f, chain.g) if kind == "meet" else chain
+        model = (lc_meet if kind == "meet" else lc_join)(chain, other)
+        argv = ["check", "--model", ws.model(f"{kind}.json", model),
                 "--input", ws.signal("u.json", u),
                 "--candidate", ws.signal("x.json", x)]
         assert main(argv) == 1

@@ -292,15 +292,48 @@ def test_meet_join_and_restrict_keep_a_parts_budget_cut():
         assert lc_meet(chain, chain).membership(u, x) == (0, True)
         assert lc_join(chain, chain).membership(u, x) == (0, True)
         assert lc_restrict(chain, [aic_set(AicParams(0, 0))] * len(u)).membership(u, x) == (0, True)
+        # the predicates answer None there, and contains reads it as the int 0
+        for model in (lc_meet(chain, chain), lc_join(chain, chain),
+                      lc_restrict(chain, [aic_set(AicParams(0, 0))] * len(u))):
+            assert model.admits(u)(x) is None
+            bit = model.contains(u, x)
+            assert bit == 0 and type(bit) is int
         # a decisive part 0 decides a meet, a part's 1 a join, and the
         # domain a restriction
         admitted = loose.contains(u, x)
         assert lc_meet(chain, loose).membership(u, x) == ((0, True) if admitted else (0, False))
         assert lc_join(chain, loose).membership(u, x) == ((1, False) if admitted else (0, True))
+        assert lc_meet(chain, loose).admits(u)(x) == (None if admitted else 0)
+        assert lc_join(chain, loose).admits(u)(x) == (1 if admitted else None)
         inside = all(v.contains(s) for v, s in zip(sets, u))
         assert lc_restrict(chain, sets).membership(u, x) == ((0, True) if inside else (0, False))
+        assert lc_restrict(chain, sets).admits(u)(x) == (None if inside else 0)
         decided |= {("sol", admitted), ("domain", inside)}
     assert decided == {("sol", 0), ("sol", 1), ("domain", False), ("domain", True)}
+
+
+def _case_434():
+    """Law 6.6 case 434 at seed 42, and an intermediate signal y that makes
+    its output a member of its chain."""
+    c = props._draw_dwell_chain(random.Random("42:6.6:434"))
+    y = make_signal(0, [(-8, 1), (F(-35, 12), 0), (F(-17, 12), 1), (F(159, 20), 0),
+                        (F(261, 28), 1)])
+    return c, y
+
+
+def test_law_6_6_case_434_has_a_witness():
+    c, y = _case_434()
+    (inner,) = c.inners
+    assert inner.contains(c.u, y) == 1
+    assert c.outer.contains((y,), c.x) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="the grid holds no five-transition witness, and its "
+                                       "uncut 0 reads as a proof (ROADMAP item 1)")
+def test_law_6_6_case_434_search_claims_no_false_proof():
+    c, _ = _case_434()
+    assert serial_membership(c.outer, c.inners, c.u, c.x, SearchBudget(6000, 10),
+                             c.seed) != (0, False)
 
 
 @pytest.fixture(scope="module")
