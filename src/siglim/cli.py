@@ -18,22 +18,20 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 
-from .conditions import Join, LimitCondition, Meet, Serial, closed_form
+from .conditions import Join, LimitCondition, Meet, closed_form
 from .errors import PreconditionViolated, SiglimError
 from .files import (
     format_tick,
     format_time,
-    model_from_doc,
-    model_to_doc,
     parse_time,
     read_model_file,
     read_signal_file,
     write_model_file,
     write_signal_file,
 )
-from .inertial import AicParams, Bailc, aic_violation
+from .inertial import AicParams, aic_violation
 from .props import GenConfig, describe, replay_case, run_theorem, theorem_ids
-from .signals import Signal, Time, _lattice, breakpoints, first_one_time
+from .signals import Signal, Time, _lattice
 
 
 def _read_inputs(paths: list[str]) -> tuple[Signal, ...]:
@@ -80,33 +78,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # --- check ---------------------------------------------------------------------
 
 def _violation_time(model: LimitCondition, u, x: Signal) -> Time | None:
-    """The first time x leaves the model's envelopes, or its `bounds` for u
-    when it has none; else the first dwell violation of a bailc model, of
-    a chain's bailc outer stage or of a meet's part.  None when none names
-    a time."""
-    box = model.envelopes(u) or model.bounds(u, u)
-    if box is not None:
-        lo, hi = box
-        t = first_one_time((lo & ~x) | (x & ~hi))
-        if t is not None:
-            return t
+    """The time the model's `violation` names, else the earliest a meet's
+    parts name, or the latest a join's do when each part names one."""
+    t = model.violation(u)(x)
+    if t is not None or not isinstance(model, (Meet, Join)):
+        return t
+    times = [_violation_time(p, u, x) for p in model.parts]
     if isinstance(model, Meet):
-        return min((t for p in model.parts if (t := _violation_time(p, u, x)) is not None),
-                   default=None)
-    outer = model.outer if isinstance(model, Serial) else model
-    return aic_violation(x, outer.aic) if isinstance(outer, Bailc) else None
-
-
-def _search_rejects(model: LimitCondition, u, x: Signal) -> bool:
-    """Whether a rejected x is rejected by a chain's witness search alone:
-    the model is a chain that names no violation time, a meet whose parts
-    each admit x or reject it so, or a join with a part that rejects it so
-    (documents hold no set-meets)."""
-    if isinstance(model, Serial):
-        return _violation_time(model, u, x) is None
-    if isinstance(model, Meet):
-        return all(p.contains(u, x) or _search_rejects(p, u, x) for p in model.parts)
-    return isinstance(model, Join) and any(_search_rejects(p, u, x) for p in model.parts)
+        return min((t for t in times if t is not None), default=None)
+    return None if None in times else max(times)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -124,14 +104,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 3
         if bit != 1:
             t = _violation_time(model, u, x)
-            if t is None and _search_rejects(model, u, x):
-                # x is inside the chain's bounds: no time is to blame
-                print("violation: the witness search found no intermediate signals")
-                return 1
-            if t is None:
-                pts = breakpoints(*(list(u) + [x]))
-                t = (pts[-1] + 1) if pts else Fraction(0)
-            print(f"violation at t={format_time(t)}")
+            # no time is to blame when only a witness search rejects x
+            print("violation: the witness search found no intermediate signals" if t is None
+                  else f"violation at t={format_time(t)}")
             return 1
     if args.aic is not None:
         a = AicParams(parse_time(args.aic[0]), parse_time(args.aic[1]))

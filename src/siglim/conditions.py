@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 from math import lcm, prod
 from typing import (
     TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple, Sequence,
@@ -52,6 +52,7 @@ from .signals import (
     breakpoints,
     combine,
     constant,
+    first_one_time,
     make_signal,
     signal_between,
     translate,
@@ -118,13 +119,14 @@ def _distinct_members(
 ) -> list[Signal]:
     """found followed by the distinct signals of pool that admits accepts and
     found lacks, in first-seen order, stopping once cap of them in all are
-    found."""
+    found, with no further signal drawn from pool."""
     out = dict.fromkeys(found)
-    for x in pool:
-        if cap is not None and len(out) >= cap:
-            break
-        if x not in out and admits(x):
-            out[x] = None
+    if cap is None or len(out) < cap:
+        for x in pool:
+            if x not in out and admits(x):
+                out[x] = None
+                if len(out) == cap:
+                    break
     return list(out)
 
 
@@ -180,6 +182,13 @@ class LimitCondition(ABC):
 
     def sample(self, u: MultiSignal, count: int = 3, seed: int = 0) -> list[Signal]:
         return self._sample(self._check_input(u), count, seed)
+
+    def violation(self, u: MultiSignal) -> Violation:
+        """For u, a function from an output x to the first time that proves
+        x is no output (see `_refutation`), read over the model's envelopes,
+        else its `bounds` for u; None where no such time is known."""
+        u = self._check_input(u)
+        return _refutation(self, u, u, self.envelopes(u) or self.bounds(u, u)) or (lambda x: None)
 
     @abstractmethod
     def _admits(self, u: MultiSignal) -> Admits: ...
@@ -360,13 +369,10 @@ class Meet(LimitCondition):
         return lambda x: _kleene((test(x) for test in tests), 0)
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
-        pool: list[Signal] = []
-        for s in range(3):
-            for part in self.parts:
-                pool += part.sample(u, DEFAULT_BUDGET.samples, seed + s)
-        pool += [constant(0), constant(1)]
+        n = DEFAULT_BUDGET.samples
+        pool = (x for s in range(3) for part in self.parts for x in part.sample(u, n, seed + s))
         admits = self._admits(u)
-        out = _distinct_members(pool, admits)
+        out = _distinct_members(chain(pool, (constant(0), constant(1))), admits, max(count, 1))
         v = self.within
         if len(out) < count and v is not None and (env := self.parts[0].envelopes(u)):
             y = v.between(*env, seed)
@@ -628,37 +634,49 @@ def _grid_candidates(
 
 _UNKNOWN = (constant(0), constant(1))  # the box of a stage that gives no bounds
 
+Violation = Callable[[Signal], "Time | None"]  # a time that proves x is no output, or None
+
+
+def _stage_boxes(parts: Sequence[tuple[LimitCondition, MultiSignal]]) -> tuple[list, tuple, tuple]:
+    """(envs, lo, hi): each stage's envelopes for its block, and the lows and
+    highs of the stages' output boxes: its envelopes, else its `bounds` for
+    its block, else (0, 1)."""
+    envs = [j.envelopes(blk) for j, blk in parts]
+    lo, hi = zip(*[env or j.bounds(blk, blk) or _UNKNOWN for (j, blk), env in zip(parts, envs)])
+    return envs, lo, hi
+
 
 def _refutation(
-    i: LimitCondition, boxes: Sequence[tuple[Signal, Signal]],
-) -> Callable[[Signal], bool] | None:
-    """A test that x is no output of the outer stage i for any intermediate
-    signal inside the inner stages' output boxes; None when it would never
-    hold.
+    i: LimitCondition, lo: MultiSignal, hi: MultiSignal, box: tuple[Signal, Signal] | None,
+) -> Violation | None:
+    """The first time that proves x is no output of i for any input between
+    lo and hi, where box is a sound (L, U) for those inputs or None; None
+    when no time would ever be named.
 
-    A member x of the chain has such a signal, so x lies within i's
-    `bounds` over the boxes.  A bailc outer's members also respect its
-    dwell, whatever the input, and a sol outer's settle between the least
-    of f and the greatest of g over the boxes' settled values.  An x failing
-    one of these is no member, so the 0 it gives is a proof.
+    A member x lies within the box, keeps a bailc's dwell, whatever the
+    input, and settles, for a sol, between the least of f and the greatest
+    of g over the inputs' settled values.  The time is the first one x
+    leaves the box at; else the dwell's `aic_violation`; else, for a sol
+    settling wrong, one past the last breakpoint of lo, hi and x.
     """
-    lo, hi = zip(*boxes)
-    tests = []
-    if (pair := i.bounds(lo, hi)) is not None:
-        L, U = pair
-        tests.append(lambda x: not signal_between(L, x, U))
+    tests: list[Violation] = []
+    if box is not None:
+        L, U = box
+        tests.append(lambda x: None if signal_between(L, x, U)
+                     else first_one_time((L & ~x) | (x & ~U)))
     if i.kind == "bailc":
         from .inertial import aic_violation
 
         a = i.aic
-        tests.append(lambda x: aic_violation(x, a) is not None)
+        tests.append(lambda x: aic_violation(x, a))
     if isinstance(i, Sol):
         least, most = _box_images(i.f.table, i.g.table, lo, hi)
         lam, mu = least.eventual_value(), most.eventual_value()
-        tests.append(lambda x: not lam <= x.eventual_value() <= mu)
+        tests.append(lambda x: None if lam <= x.eventual_value() <= mu
+                     else max(breakpoints(*lo, *hi, x), default=Fraction(-1)) + 1)
     if not tests:
         return None
-    return lambda x: any(test(x) for test in tests)
+    return lambda x: next((t for test in tests if (t := test(x)) is not None), None)
 
 
 class _Stage(NamedTuple):
@@ -677,14 +695,14 @@ class _SerialSearch:
 
     Construction does the cheap per-input work: each stage's finite output
     list, if it has one, and, unless every stage has one, the envelopes and
-    the `_refutation` over the stages' output boxes (a stage's envelopes,
-    else its `bounds` for its block, else the box (0, 1)).  The predicates,
-    then the samples, are built on the first outputs that need them, a
-    window stage's from those envelopes, so each search walks them once.
-    A call asks the refutation first, and a refuted x gets (0, False), a
-    proof; then the constructed candidates each stage admits (alone first
-    for a lone stage whose samples leave them all in the first pass), the
-    first pass, and the grid round, whose deltas the first grid gathers.
+    the `_refutation` over the `_stage_boxes`.  The predicates, then the
+    samples, are built on the first outputs that need them, a window
+    stage's from those envelopes, so each search walks them once.  A call
+    asks the refutation first (`refutes`, as a bool), and a refuted x gets
+    (0, False), a proof; then the constructed candidates each stage admits
+    (alone first for a lone stage whose samples leave them all in the first
+    pass), the first pass, and the grid round, whose deltas the first grid
+    gathers.
     The grid round's one filter is each stage's predicate: it reads the
     plain `_grid_candidates` stream and admits nothing outside the stage's
     envelopes.
@@ -704,18 +722,16 @@ class _SerialSearch:
         # a stage with finitely many outputs offers them all to the first
         # pass, so when every stage does, bounds would only add work
         self.finite = [j.finite_outputs(blk, seed) for j, blk in self.parts]
-        self.envs: list[tuple[Signal, Signal] | None] = [None] * len(self.parts)
-        self.refutes = None
+        self.envs, self.refutes = [None] * len(self.parts), None
         self.outers: dict[tuple[Signal, ...], Admits] = {}
         # no kind samples more than max(count, 2), so a lone stage's first
         # pass holds this many of its admitted candidates; -1 for other chains
         lone = len(js) == 1 and self.finite[0] is None
         self.room = min(self.cap, budget.max_nodes) - max(budget.samples, 2) if lone else -1
         if None in self.finite:
-            self.envs = [j.envelopes(blk) for j, blk in self.parts]
-            self.refutes = _refutation(i, [
-                env or j.bounds(blk, blk) or _UNKNOWN for (j, blk), env in zip(self.parts, self.envs)
-            ])
+            self.envs, lo, hi = _stage_boxes(self.parts)
+            refutation = _refutation(i, lo, hi, i.bounds(lo, hi))
+            self.refutes = refutation and (lambda x: refutation(x) is not None)
 
     @cached_property
     def deltas(self) -> set[Time]:
@@ -859,9 +875,10 @@ def serial_membership(
     Then one grid round extends each stage's list with the grid candidates
     its predicate admits, which are none outside its envelopes, asking no
     combination twice.  The outer stage's predicate for a combination is
-    kept for the search's later outputs (see `_SerialSearch`).  When every list is final (deterministic
-    stages give their one output), the grid adds nothing and the first pass
-    answers exactly, with no grid and no delays read.
+    kept for the search's later outputs (see `_SerialSearch`).  When every
+    list is final (deterministic stages give their one output), the grid
+    adds nothing and the first pass answers exactly, with no grid and no
+    delays read.
     """
     return serial_search(i, js, u, budget, seed)(x)
 
@@ -874,9 +891,9 @@ class Serial(LimitCondition):
     budget, built once per input by `admits`, which answers None for a cut
     0.  It is exact when every stage is deterministic, since each stage
     then offers its one output, and its 0 is a proof wherever the chain's
-    ternary bounds refute the output.  `bounds` recurses through the
-    stages, so a chain nested as a stage of another gives the enclosing
-    search a box.
+    ternary bounds refute the output; `violation` names the time they do
+    it at.  `bounds` recurses through the stages, so a chain nested as a
+    stage of another gives the enclosing search a box.
     """
 
     outer: LimitCondition
@@ -895,6 +912,12 @@ class Serial(LimitCondition):
             return None if cut else bit
 
         return admits
+
+    def violation(self, u: MultiSignal) -> Violation:
+        # read over the inner stages' output boxes, as the search refutes
+        u = self._check_input(u)
+        _, lo, hi = _stage_boxes(list(zip(self.inners, DirectProduct(self.inners).split(u))))
+        return _refutation(self.outer, lo, hi, self.outer.bounds(lo, hi)) or (lambda x: None)
 
     def _sample(self, u: MultiSignal, count: int, seed: int) -> list[Signal]:
         blocks = DirectProduct(self.inners).split(u)
@@ -995,16 +1018,18 @@ def check_deterministic(
     input family.
     """
     budget = budget or DEFAULT_BUDGET
-    for u in us:
-        u = tuple(u)
-        pool: list[Signal] = []
+
+    def pool(u: MultiSignal) -> Iterator[Signal]:
         for s in range(3):
             try:
-                pool += i.sample(u, budget.samples, s)
+                yield from i.sample(u, budget.samples, s)
             except (EmptyMeet, EmptyBailc):
                 continue
-        pool += [constant(0), constant(1)]
-        if len(_distinct_members(pool, i.admits(u), cap=2)) == 2:
+        yield from (constant(0), constant(1))
+
+    for u in us:
+        u = tuple(u)
+        if len(_distinct_members(pool(u), i.admits(u), cap=2)) == 2:
             return 0
     return 1
 

@@ -76,7 +76,6 @@ from .signals import (
     Bit,
     MultiSignal,
     Signal,
-    Time,
     constant,
     make_signal,
     pulse,

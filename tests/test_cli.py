@@ -31,6 +31,7 @@ from siglim import (
     pulse,
     read_model_file,
     read_signal_file,
+    sc,
     serial,
     sol,
     write_model_file,
@@ -225,6 +226,29 @@ class TestCheck:
         argv[2] = ws.model("meet.json", lc_meet(chain, sol(chain.f, chain.g)))
         assert main(argv) == 1
         assert capsys.readouterr().out.strip() == "violation at t=9/2"
+
+    def test_join_over_a_chain_reports_the_latest_part_time(self, ws, capsys):
+        # x stays inside the join's hull, and each part names the outer
+        # dwell violation at 9/2: the join's time is the latest of them,
+        # not the last breakpoint + 1
+        outer = bailc(and_fn(2), or_fn(2), BlcParams(1, 2, 1, 2), AicParams(1, 1))
+        x = make_signal(0, [(2, 1), (4, 0), (F(9, 2), 1), (9, 0)])
+        argv = self._chain_argv(ws, outer, x)
+        chain = read_model_file(argv[2])
+        argv[2] = ws.model("join.json", lc_join(chain, chain))
+        assert main(argv) == 1
+        assert capsys.readouterr().out.strip() == "violation at t=9/2"
+
+    def test_chain_with_a_sol_outer_reports_the_settled_value(self, ws, capsys):
+        # every member settles to 1 and x settles to 0, so x is refuted with
+        # no search, and the time is one past the last breakpoint
+        chain = serial(sc(), [blc(identity_fn(), identity_fn(), BlcParams(1, 2, 1, 2))])
+        assert chain.kind == "serial"
+        argv = ["check", "--model", ws.model("chain.json", chain),
+                "--input", ws.signal("u.json", make_signal(0, [(0, 1)])),
+                "--candidate", ws.signal("x.json", pulse(1, 3))]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.strip() == "violation at t=4"
 
     def test_dry_stage_sampler_is_not_an_input_error(self, ws, capsys):
         # the inner stage's sampler finds no witness for this input; the

@@ -27,16 +27,17 @@ from oracles import dwell_dfs_oracle, sample_first_answer
 
 from siglim import (
     AicParams, BlcParams, SearchBudget, Signal, SiglimError, bailc, blc, breakpoints, constant, flc,
-    aic_set, lc_join, lc_meet, lc_restrict, make_signal, pulse, serial, serial_membership,
-    signal_between, signal_leq, sol, values_along,
+    aic_set, first_one_time, lc_join, lc_meet, lc_restrict, make_signal, pulse, serial,
+    serial_membership, signal_between, signal_leq, sol, values_along,
 )
 from siglim import props
 from siglim.boolfn import and_fn, identity_fn, or_fn
 from siglim.conditions import (
-    DEFAULT_BUDGET, Serial, _clamp, _composed_bounds, _distinct_members, _grid_candidates,
-    _grid_times, _rng, serial_search,
+    DEFAULT_BUDGET, LimitCondition, Serial, _clamp, _composed_bounds, _distinct_members,
+    _grid_candidates, _grid_times, _rng, serial_search,
 )
-from siglim.inertial import aic_contains, search_between
+from siglim.errors import EmptyMeet
+from siglim.inertial import aic_contains, aic_violation, search_between
 from siglim.props import (
     CHECK_BUDGET, ORACLE_BUDGET, _feasible_aic, _gen_overlap_params, _rat, gen_boolfn,
     gen_boolfn_pair_leq, gen_multisignal, gen_signal,
@@ -448,6 +449,112 @@ def test_law_members_pass_the_refutation(law, monkeypatch):
     assert len(queries) == 30
     refuted = sum(_assert_refutation_is_sound(*q[:3], [q[3]]) for q in queries)
     assert refuted > 5
+
+
+# --- violation times -----------------------------------------------------------
+
+VIOLATION_KINDS = ("blc", "bailc", "flc", "sol", "meet", "join", "serial")
+
+
+def _violation_case(kind, seed):
+    """A model of kind, an input, and outputs to name a violation time for:
+    its samples, each with a span flipped and with a glitch just after its
+    first edge, and drawn signals."""
+    rng = random.Random(f"violation:{kind}:{seed}")
+    m = rng.randint(1, 2)
+    model = None
+    while model is None:
+        try:
+            model = sol(*gen_boolfn_pair_leq(m, rng)) if kind == "sol" else _box_model(kind, m, rng)
+        except SiglimError:
+            pass  # a chain whose composed bounds cross; draw again
+    u = tuple(gen_signal(rng, 6) for _ in range(m))
+    try:
+        members = model.sample(u, 3, seed)
+    except SiglimError:
+        members = []  # no witness drawn for this input
+    flipped = [y ^ pulse(*sorted((_rat(rng, -2, 12), _rat(rng, -2, 12)))) for y in members]
+    flipped += [y ^ pulse(t + F(1, 32), t + F(1, 16)) for y in members for t in breakpoints(y)[:1]]
+    return model, u, members, members + flipped + [gen_signal(rng, 6) for _ in range(3)]
+
+
+@pytest.mark.parametrize("kind", VIOLATION_KINDS)
+def test_a_named_violation_time_proves_no_membership(kind):
+    named = 0
+    for seed in range(12):
+        model, u, members, xs = _violation_case(kind, seed)
+        violation = model.violation(u)
+        assert all(violation(y) is None for y in members)
+        for x in xs:
+            t = violation(x)
+            named += t is not None
+            if t is not None:
+                assert model.contains(u, x) == 0, (u, x, t)
+            if kind == "serial":
+                # the search's refutation fires on the same outputs
+                refutes = serial_search(model.outer, model.inners, u).refutes
+                assert (t is not None) == bool(refutes and refutes(x))
+    assert named > 5
+
+
+@pytest.mark.parametrize("kind", ["blc", "bailc", "flc", "sol"])
+def test_a_plain_model_names_a_time_for_every_rejection(kind):
+    dwell_only = 0
+    for seed in range(12):
+        model, u, _, xs = _violation_case(kind, seed)
+        violation = model.violation(u)
+        for x in xs:
+            t = violation(x)
+            assert (t is None) == bool(model.contains(u, x)), (u, x, t)
+            if kind != "sol":
+                # the time check prints: where x first leaves the envelopes,
+                # else, for a bailc, the first dwell violation
+                lo, hi = model.envelopes(u)
+                box = first_one_time((lo & ~x) | (x & ~hi))
+                if box is None and kind == "bailc":
+                    dwell_only += t is not None
+                    box = aic_violation(x, model.aic)
+                assert t == box, (u, x, t)
+    assert dwell_only > 0 or kind != "bailc"
+
+
+# --- meet samples ---------------------------------------------------------------
+
+def _eager_meet_members(meet, u, seed):
+    """The meet's members among every part's samples for all three rounds,
+    then the constants, with every sample drawn before any is tested."""
+    pool = [y for s in range(3) for part in meet.parts
+            for y in part.sample(u, DEFAULT_BUDGET.samples, seed + s)]
+    return _distinct_members(pool + [constant(0), constant(1)], meet.admits(u))
+
+
+def test_meet_samples_match_the_eager_pool_with_fewer_part_samples(monkeypatch):
+    calls = Counter()
+    real = LimitCondition.sample
+
+    def counting(self, *args):
+        calls[self] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(LimitCondition, "sample", counting)
+    lazy = eager = 0
+    for seed in range(20):
+        rng = random.Random(f"meet-pool:{seed}")
+        m = rng.randint(1, 2)
+        meet = _box_model("meet", m, rng)
+        u = tuple(gen_signal(rng, 6) for _ in range(m))
+        for count in (0, 1, 3, 8):
+            calls.clear()
+            try:
+                got = meet.sample(u, count, seed)
+            except EmptyMeet:
+                got = None
+            lazy += sum(calls[p] for p in meet.parts)
+            calls.clear()
+            want = _eager_meet_members(meet, u, seed)
+            eager += sum(calls[p] for p in meet.parts)
+            assert got == (want[:count] if want else None), (seed, count)
+    assert lazy < eager
 
 
 def test_refuted_nested_chain_query_samples_no_stage(monkeypatch):
